@@ -24,10 +24,12 @@ Pairs of simples in different blocks admit no extensions (their central
 characters differ), so ext1 short-circuits to 0 unless the two weights are
 equal nondegenerate weights or lie in one hbar = 0 coset.
 
-Truncation is handled by re-running the computation at three consecutive
-window depths and requiring the dimension to be flat; the starting window
-is sized past both modules' supports and slides upward (to the cap given by
-the environment variable TAKIFF_DEPTH_CAP, default 40) if not yet flat.
+Truncation is handled by running the computation at three consecutive
+window depths and requiring the dimension to be flat; each window is solved
+once, and representatives come from the deepest of the three.  The starting
+window is sized past both modules' supports and slides upward (to the cap
+given by the environment variable TAKIFF_DEPTH_CAP, default 40) if not yet
+flat.
 """
 
 import os
@@ -52,7 +54,17 @@ _PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
 
 
 def depth_cap():
-    return int(os.environ.get("TAKIFF_DEPTH_CAP", DEFAULT_DEPTH_CAP))
+    raw = os.environ.get("TAKIFF_DEPTH_CAP")
+    if raw is None:
+        return DEFAULT_DEPTH_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("TAKIFF_DEPTH_CAP must be a positive integer, "
+                         "got %r" % raw)
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +117,10 @@ class ExtResult:
     note: str = ""
     dims_v: list = field(default_factory=list)    # coset-graded dimensions
     dims_w: list = field(default_factory=list)
+    # (cocycle system, coboundary system, unknown blocks) of this window,
+    # eliminated, until _add_representatives draws the cocycles from them
+    _solved: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def to_json(self):
         cocycles = []
@@ -207,6 +223,17 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     if N < max(offv, offw) + 2:
         raise ValueError("window %d too small for offsets (%d, %d)"
                          % (N, offv, offw))
+    result = _solve_window(lam, mu, category, N)
+    if with_cocycles:
+        _add_representatives(result)
+    return result
+
+
+def _solve_window(lam, mu, category, N):
+    """Assemble and eliminate the cocycle and coboundary systems of window
+    N (same block, N validated); the result carries the eliminated systems
+    so representatives can be drawn later without solving again."""
+    offv, offw = _coset_layout(lam, mu)
     V = simple_module(lam, N - offv)
     W = simple_module(mu, N - offw)
     dv, av = _coset_dims_and_actions(V, offv, N)
@@ -331,19 +358,32 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     result = ExtResult(lam, mu, category, N, dim,
                        depths_checked=[N], dim_sequence=[dim],
                        dims_v=dv, dims_w=dw)
-    if not with_cocycles or dim == 0:
-        return result
+    result._solved = (system, bsys, blocks)
+    return result
 
-    # representatives: kernel basis reduced modulo the coboundary space
+
+def _add_representatives(result):
+    """Fill result.cocycles from its window's eliminated systems: the
+    kernel basis reduced modulo the coboundary space, first dim independent
+    ones.  Releases the systems."""
+    system, bsys, blocks = result._solved
+    result._solved = None
+    if result.dim == 0:
+        return
     reps = []
-    seen = RowSpace(nunk)
+    seen = RowSpace(system.ncols)
     for v in system.nullspace_basis():
         v = bsys.reduce_vector(v)
         if any(v) and seen.add(v):
             reps.append(v)
-        if len(reps) == dim:
+        if len(reps) == result.dim:
             break
-    assert len(reps) == dim, "representative extraction out of step"
+    if len(reps) != result.dim:
+        raise RuntimeError(
+            "Ext^1(%s, %s) in %s at window %d: found %d independent "
+            "cocycle representatives for dimension %d"
+            % (result.lam, result.mu, result.category, result.window,
+               len(reps), result.dim))
     for v in reps:
         phi = {}
         for (g, d), (off, nr, nc) in sorted(blocks.items()):
@@ -376,15 +416,7 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
             % (block_of(lam).label(), block_of(mu).label()))
     cap = depth_cap() if cap is None else int(cap)
     base = _default_window(lam, mu) if start is None else int(start)
-    dims = {}
-    history = []
-
-    def dim_at(N):
-        if N not in dims:
-            dims[N] = ext1(lam, mu, category, window=N,
-                           with_cocycles=False).dim
-            history.append((N, dims[N]))
-        return dims[N]
+    results = {}  # window -> its ExtResult, each window solved once
 
     if base + 2 > cap:
         raise StabilizationError(
@@ -393,16 +425,25 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
                  % (cap, base, base + 2))
     N = base
     while N + 2 <= cap:
-        seq = [dim_at(N), dim_at(N + 1), dim_at(N + 2)]
+        for M in (N, N + 1, N + 2):
+            if M not in results:
+                results[M] = ext1(lam, mu, category, window=M,
+                                  with_cocycles=False)
+        seq = [results[M].dim for M in (N, N + 1, N + 2)]
         if seq[0] == seq[1] == seq[2]:
-            final = ext1(lam, mu, category, window=N + 2,
-                         with_cocycles=with_cocycles)
+            final = results[N + 2]
+            if with_cocycles:
+                _add_representatives(final)
+            else:
+                final._solved = None
             final.stabilized = True
             final.depths_checked = [N, N + 1, N + 2]
             final.dim_sequence = seq
             return final
+        results[N]._solved = None  # window N takes no further part
         N += 1
-    raise StabilizationError(lam, mu, category, sorted(history))
+    raise StabilizationError(lam, mu, category,
+                             [(M, results[M].dim) for M in sorted(results)])
 
 
 def assemble_extension(result, index=0):

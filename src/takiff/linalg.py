@@ -1,9 +1,20 @@
 """Dense and sparse exact linear algebra over the rationals.
 
-Everything here works on fractions.Fraction entries.  Elimination follows one
-deterministic pivot rule throughout: walk the columns in order and, among the
-rows still available with a nonzero entry in the current column, pick the one
-whose entry has the largest absolute numerator, first such row on ties.
+Everything here works on fractions.Fraction entries.  Both elimination
+engines walk the columns in order and differ only in which of the rows still
+available with a nonzero entry in the current column becomes its pivot:
+
+- dense (rref, kernel_basis, solve_columns): the row whose entry has the
+  largest absolute numerator, first such row on ties;
+- sparse (SparseSystem): the row with the fewest nonzeros, lowest index on
+  ties (Markowitz 1957), which keeps fill-in and coefficient growth down.
+
+The pivot row never shows in a kernel basis or a reduced vector.  With the
+columns taken in order, a column is a pivot column exactly when it is not a
+combination of the columns before it, so the pivot columns are fixed by the
+matrix; and the kernel vector with 1 at one free column and 0 at the others,
+like the element of v + rowspace that vanishes on every pivot column, is
+unique.
 """
 
 from fractions import Fraction
@@ -25,8 +36,11 @@ class Mat:
             self.rows = [[_ZERO] * ncols for _ in range(nrows)]
         else:
             self.rows = [[Fraction(x) for x in r] for r in rows]
-            assert len(self.rows) == nrows
-            assert all(len(r) == ncols for r in self.rows)
+            if len(self.rows) != nrows or any(len(r) != ncols
+                                               for r in self.rows):
+                raise ValueError(
+                    "Mat(%d, %d) given rows of shape %s"
+                    % (nrows, ncols, [len(r) for r in self.rows]))
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -61,14 +75,20 @@ class Mat:
     def __ne__(self, other):
         return not self.__eq__(other)
 
+    def _same_shape(self, other, op):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch: %dx%d %s %dx%d"
+                             % (self.nrows, self.ncols, op,
+                                other.nrows, other.ncols))
+
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_shape(other, "+")
         return Mat(self.nrows, self.ncols,
                    [[a + b for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        self._same_shape(other, "-")
         return Mat(self.nrows, self.ncols,
                    [[a - b for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.rows, other.rows)])
@@ -78,9 +98,10 @@ class Mat:
             s = Fraction(other)
             return Mat(self.nrows, self.ncols,
                        [[a * s for a in r] for r in self.rows])
-        assert self.ncols == other.nrows, \
-            "shape mismatch: %dx%d * %dx%d" % (self.nrows, self.ncols,
-                                               other.nrows, other.ncols)
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch: %dx%d * %dx%d"
+                             % (self.nrows, self.ncols,
+                                other.nrows, other.ncols))
         out = Mat(self.nrows, other.ncols)
         for i, row in enumerate(self.rows):
             orow = out.rows[i]
@@ -96,7 +117,9 @@ class Mat:
         return self.__mul__(scalar)
 
     def matvec(self, vec):
-        assert self.ncols == len(vec)
+        if self.ncols != len(vec):
+            raise ValueError("shape mismatch: %dx%d * vector of length %d"
+                             % (self.nrows, self.ncols, len(vec)))
         return [sum((a * v for a, v in zip(row, vec) if v), _ZERO)
                 for row in self.rows]
 
@@ -276,11 +299,14 @@ class RowSpace:
 class SparseSystem:
     """Homogeneous system over Q with rows stored as {column: coefficient}.
 
-    eliminate() runs the deterministic column-order / max-|numerator| pivot
-    rule as forward elimination only (row echelon, pivot rows normalized but
-    never revisited): these systems are banded along the depth grading and
-    full back-substitution during elimination would destroy that locality.
-    Nullspace vectors are back-substituted on demand instead.
+    eliminate() walks the columns in order and takes as pivot the row with
+    the fewest nonzeros, lowest index on ties (the dense engine takes the
+    largest |numerator| instead).  It is forward elimination only (row
+    echelon, pivot rows normalized but never revisited): these systems are
+    banded along the depth grading and full back-substitution during
+    elimination would destroy that locality.  Nullspace vectors are
+    back-substituted on demand instead; they and reduced vectors do not
+    depend on the pivot rows (see the module docstring).
     """
 
     def __init__(self, ncols):
@@ -312,10 +338,11 @@ class SparseSystem:
         return ints, den
 
     def eliminate(self):
-        """Row-echelon pass.  The arithmetic runs on integer-scaled rows for
-        speed, but the pivot choice is made on the exact rational entries
-        (numerator of ints[c]/den), so the result is identical to running
-        the dense rule entry by entry."""
+        """Row-echelon pass in column order.  Each column's pivot is the
+        available row with the fewest nonzeros, lowest index on ties
+        (Markowitz), which keeps fill-in and coefficient growth small.  The
+        arithmetic runs on integer-scaled rows with their content divided
+        out."""
         if getattr(self, "_eliminated", False):
             return
         irows = [self._to_integer_row(r) for r in self.rows]
@@ -326,36 +353,22 @@ class SparseSystem:
         self.pivot_of_col = {}
         used = set()
         for col in range(self.ncols):
-            cand = touching.get(col)
-            if not cand:
+            # touching[col] may still list rows whose entry here cancelled
+            live = [i for i in touching.get(col, ())
+                    if i not in used and col in irows[i][0]]
+            if not live:
                 continue
-            best, best_num = None, -1
-            for i in sorted(cand):
-                if i in used:
-                    continue
-                ints, den = irows[i]
-                a = ints.get(col)
-                if not a:
-                    cand.discard(i)
-                    continue
-                n = abs(a) // gcd(abs(a), den)
-                if n > best_num:
-                    best, best_num = i, n
-            if best is None:
-                continue
+            best = min(live, key=lambda i: (len(irows[i][0]), i))
             self.pivot_of_col[col] = best
             used.add(best)
-            pints, pden = irows[best]
+            pints = irows[best][0]
             plead = pints[col]
             pitems = list(pints.items())
-            for i in list(cand):
-                if i in used:
+            for i in live:
+                if i == best:
                     continue
                 ints, den = irows[i]
-                factor = ints.get(col)
-                if not factor:
-                    cand.discard(i)
-                    continue
+                factor = ints[col]
                 # row <- row - (row[col]/piv[col]) * piv, over a common
                 # integer scale; signs arranged so the denominator stays > 0
                 out = {c: v * plead for c, v in ints.items()}
@@ -365,7 +378,6 @@ class SparseSystem:
                         out[c] = nv
                     elif c in out:
                         del out[c]
-                        touching.get(c, set()).discard(i)
                 nden = den * plead
                 if nden < 0:
                     nden = -nden

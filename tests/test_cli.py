@@ -1,6 +1,7 @@
 """The command line interface, driven in process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,11 +137,27 @@ def test_ext_fixed_window_json(capsys):
     assert data["dim"] == 1 and data["window"] == 4
 
 
+def test_ext_cocycles_json_matches_golden(capsys):
+    golden = Path(__file__).parent / "golden" / "ext_3_1_O_cocycles.json"
+    code, out, _ = run(capsys, "ext", "--h", "3", "--hbar", "1", "--mu-h",
+                       "3", "--mu-hbar", "1", "--cat", "O", "--cocycles",
+                       "--format", "json")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_ext_depth_cap_failure(capsys, monkeypatch):
     monkeypatch.setenv("TAKIFF_DEPTH_CAP", "3")
     code, _, err = run(capsys, "ext", "--h", "3", "--mu-h", "1")
     assert code == 1
     assert "depth cap" in err
+
+
+def test_ext_bad_depth_cap_is_reported(capsys, monkeypatch):
+    monkeypatch.setenv("TAKIFF_DEPTH_CAP", "abc")
+    code, _, err = run(capsys, "ext", "--h", "3", "--mu-h", "1")
+    assert code == 1
+    assert "TAKIFF_DEPTH_CAP" in err and "'abc'" in err
 
 
 def test_quiver_dot(capsys):

@@ -1,15 +1,22 @@
 """First extensions between simples: blocks, the cocycle solver, window
 stabilization, assembled extensions, and quivers."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from takiff import ext as ext_mod
 from takiff.algebra import GEN_NAMES, H, HBAR
+from takiff.linalg import SparseSystem
 from takiff.modules import Weight, category_check, check_relations
 from takiff.ext import (Block, StabilizationError, assemble_extension,
-                        block_of, ext1, quiver, same_block, stabilize_ext)
+                        block_of, depth_cap, ext1, quiver, same_block,
+                        stabilize_ext)
 from takiff.conformance import EXT_TABLE, expected_arrow_dim
+
+GOLDEN_COCYCLES = Path(__file__).parent / "golden" / "ext_3_1_O_cocycles.json"
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +76,41 @@ def test_stabilize_reports_windows():
 def test_stabilize_raises_when_capped():
     with pytest.raises(StabilizationError):
         stabilize_ext(Weight(3, 0), Weight(1, 0), "O", cap=3)
+
+
+@pytest.mark.parametrize("with_cocycles", [False, True])
+def test_stabilize_solves_each_window_once(monkeypatch, with_cocycles):
+    solved = []
+    solve = ext_mod._solve_window
+
+    def counting_solve(lam, mu, category, N):
+        solved.append(N)
+        return solve(lam, mu, category, N)
+
+    monkeypatch.setattr(ext_mod, "_solve_window", counting_solve)
+    lam = Weight(3, 1)
+    r = stabilize_ext(lam, lam, "O", with_cocycles=with_cocycles)
+    assert solved == [3, 4, 5]
+    golden = json.loads(GOLDEN_COCYCLES.read_text())
+    assert (r.dim, r.depths_checked, r.dim_sequence) == \
+        (golden["dim"], golden["depths_checked"], golden["dim_sequence"])
+    assert r.to_json()["cocycles"] == \
+        (golden["cocycles"] if with_cocycles else [])
+
+
+def test_missing_representatives_raise_with_the_weights(monkeypatch):
+    monkeypatch.setattr(SparseSystem, "reduce_vector",
+                        lambda self, vec: [0] * len(vec))
+    lam = Weight(Fraction(1, 2), 0)
+    with pytest.raises(RuntimeError, match=r"\(1/2, 0\), \(1/2, 0\)"):
+        ext1(lam, lam, "O", window=2)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_depth_cap_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("TAKIFF_DEPTH_CAP", value)
+    with pytest.raises(ValueError, match="TAKIFF_DEPTH_CAP.*%r" % value):
+        depth_cap()
 
 
 def test_category_O_never_exceeds_Otilde():
