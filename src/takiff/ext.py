@@ -129,10 +129,7 @@ class ExtResult:
             for gname, blocks in phi.items():
                 out = []
                 for d in sorted(blocks):
-                    mat = blocks[d]
-                    ents = [[r, c, str(mat.rows[r][c])]
-                            for r in range(mat.nrows)
-                            for c in range(mat.ncols) if mat.rows[r][c]]
+                    ents = blocks[d].nonzero_entries()
                     if ents:
                         out.append({"from_depth": d, "entries": ents})
                 if out:
@@ -196,6 +193,11 @@ def _coset_dims_and_actions(mod, off, N):
     return dims, act
 
 
+def _check_category(category):
+    if category not in ("O", "Otilde"):
+        raise ValueError("category must be 'O' or 'Otilde'")
+
+
 def _zero_result(lam, mu, category, note):
     return ExtResult(lam, mu, category, 0, 0, stabilized=True, note=note)
 
@@ -211,8 +213,7 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
         lam = Weight(*lam)
     if not isinstance(mu, Weight):
         mu = Weight(*mu)
-    if category not in ("O", "Otilde"):
-        raise ValueError("category must be 'O' or 'Otilde'")
+    _check_category(category)
     if not same_block(lam, mu):
         return _zero_result(
             lam, mu, category,
@@ -409,6 +410,7 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
         lam = Weight(*lam)
     if not isinstance(mu, Weight):
         mu = Weight(*mu)
+    _check_category(category)
     if not same_block(lam, mu):
         return _zero_result(
             lam, mu, category,

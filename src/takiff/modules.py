@@ -127,7 +127,9 @@ class TruncatedModule:
         self.top = top
         self.depth = int(depth)
         self.dims = [int(d) for d in dims]
-        assert len(self.dims) == self.depth + 1
+        if len(self.dims) != self.depth + 1:
+            raise ValueError("depth %d needs %d slice dimensions, got %d"
+                             % (self.depth, self.depth + 1, len(self.dims)))
         self.actions = actions
         self.complete = bool(complete)
         self.label = label
@@ -211,9 +213,12 @@ def verma(top, depth):
                     a, b, c, d, p, q = exps
                     if p or q:
                         continue
-                    val = coef * top.h ** c * top.hbar ** d
-                    assert a + b == t, "monomial escaped its depth slice"
-                    mat.rows[b][j] += val
+                    if a + b != t:
+                        raise RuntimeError(
+                            "normal form of %s * f^%d fbar^%d has a term "
+                            "f^%d fbar^%d outside depth %d"
+                            % (GEN_NAMES[g], n - j, j, a, b, t))
+                    mat.rows[b][j] += coef * top.h ** c * top.hbar ** d
             actions[g][n] = mat
     return TruncatedModule(top, depth, dims, actions, complete=False,
                            label="verma")
@@ -354,12 +359,12 @@ def check_relations(module):
                 continue
             lhs = (module.act(x, n + sy) * module.act(y, n)
                    - module.act(y, n + sx) * module.act(x, n))
+            for g, c in _BRACKET[(x, y)]:
+                lhs = lhs - module.act(g, n) * c
             t = n + sx + sy
             tgt = module.dims[t] if 0 <= t <= N else 0
-            rhs = Mat.zeros(tgt, module.dims[n])
-            for g, c in _BRACKET[(x, y)]:
-                rhs = rhs + module.act(g, n) * c
-            if lhs != rhs:
+            if (lhs.nrows, lhs.ncols) != (tgt, module.dims[n]) \
+                    or not lhs.is_zero():
                 failures.append((GEN_NAMES[x], GEN_NAMES[y], n))
             else:
                 checked += 1
@@ -459,10 +464,7 @@ def module_to_json(module):
     for g in GENERATORS:
         blocks = []
         for n in range(module.depth + 1):
-            mat = module.act(g, n)
-            entries = [[r, c, str(mat.rows[r][c])]
-                       for r in range(mat.nrows)
-                       for c in range(mat.ncols) if mat.rows[r][c]]
+            entries = module.act(g, n).nonzero_entries()
             if entries:
                 blocks.append({"from_depth": n, "entries": entries})
         actions[GEN_NAMES[g]] = blocks

@@ -34,15 +34,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # singular vectors
 
-def singular_vectors(module, mu):
-    """Basis of the singular vectors of weight mu: joint eigenvectors of h
-    and hbar killed by both raising operators.
-
-    mu must lie on the module's coset (same hbar-value, h-value differing
-    from the top by a nonnegative even integer within the window); otherwise
-    a ValueError is raised.  Returns a list of coordinate vectors in the
-    depth slice of mu (possibly empty).
-    """
+def _slice_of(module, mu):
+    """(mu as a Weight, its depth in the module's window).  Raises
+    ValueError unless mu lies on the module's coset (same hbar-value, h-value
+    differing from the top by a nonnegative even integer) within the
+    window."""
     if not isinstance(mu, Weight):
         mu = Weight(*mu)
     if mu.hbar != module.top.hbar:
@@ -55,6 +51,19 @@ def singular_vectors(module, mu):
     d = int(k2) // 2
     if d > module.depth:
         raise ValueError("weight %s lies below the truncation window" % (mu,))
+    return mu, d
+
+
+def singular_vectors(module, mu):
+    """Basis of the singular vectors of weight mu: joint eigenvectors of h
+    and hbar killed by both raising operators.
+
+    mu must lie on the module's coset (same hbar-value, h-value differing
+    from the top by a nonnegative even integer within the window); otherwise
+    a ValueError is raised.  Returns a list of coordinate vectors in the
+    depth slice of mu (possibly empty).
+    """
+    mu, d = _slice_of(module, mu)
     dim = module.dims[d]
     if dim == 0:
         return []
@@ -73,10 +82,9 @@ def cosingular_dim(module, mu):
     """Dimension of the mu-slice modulo everything reachable from above
     (images of both lowering operators) plus the non-eigen directions.
     Dual notion to singular_vectors: cosingular_dim(M, mu) equals the number
-    of singular vectors of weight mu in dualize(M)."""
-    if not isinstance(mu, Weight):
-        mu = Weight(*mu)
-    d = int((module.top.h - mu.h) / 2)
+    of singular vectors of weight mu in dualize(M).  mu is validated as in
+    singular_vectors."""
+    mu, d = _slice_of(module, mu)
     dim = module.dims[d]
     if dim == 0:
         return 0

@@ -67,7 +67,7 @@ def test_criterion_07_multiplicities():
 
 def test_criterion_08_uniserial():
     _criterion(8, "uniserial quotients", conformance.check_uniserial,
-               bound=10.0)
+               bound=2.0)
 
 
 def test_criterion_09_hasse_n4():

@@ -45,6 +45,12 @@ def test_ext_across_blocks_is_zero_without_solving():
     assert "block" in r.note
 
 
+@pytest.mark.parametrize("fn", [ext1, stabilize_ext])
+def test_category_is_validated_before_the_block_shortcut(fn):
+    with pytest.raises(ValueError, match="category must be"):
+        fn(Weight(0, 0), Weight(1, 0), "bogus")
+
+
 # ---------------------------------------------------------------------------
 # the solver at fixed windows: a self-pair with known window-exact answers
 

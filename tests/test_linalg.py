@@ -222,3 +222,133 @@ def test_sparse_empty_system():
     sysm = SparseSystem(3)
     assert sysm.rank() == 0
     assert len(sysm.nullspace_basis()) == 3
+
+
+def test_add_row_after_eliminate_is_not_ignored():
+    sysm = SparseSystem(2)
+    sysm.add_row({0: 1})
+    assert sysm.rank() == 1
+    sysm.add_row({1: 1})
+    assert sysm.rank() == 2
+    assert sysm.nullspace_basis() == []
+
+
+def test_add_row_after_eliminate_matches_dense():
+    rng = random.Random(5)
+    for _ in range(30):
+        m, n = rng.randrange(1, 8), rng.randrange(1, 9)
+        rows = _random_rows(rng, m + rng.randrange(1, 4), n)
+        sysm = SparseSystem(n)
+        for row in rows[:m]:
+            sysm.add_row({c: v for c, v in enumerate(row) if v})
+        sysm.rank()
+        for row in rows[m:]:
+            sysm.add_row({c: v for c, v in enumerate(row) if v})
+        dense = Mat.from_rows(rows)
+        rref_rows, pivots = rref(dense)
+        assert sysm.rank() == len(pivots)
+        assert sysm.nullspace_basis() == kernel_basis(dense)
+        for v in _random_rows(rng, 3, n):
+            assert sysm.reduce_vector(v) == \
+                _dense_normal_form(rref_rows, pivots, v)
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping dense kernel against naive references
+
+def _naive_rref(rows, ncols):
+    """Gauss-Jordan on every entry, first nonzero row as pivot; the RREF of
+    a matrix is unique, so any pivot rule gives the same rows."""
+    rows = [list(r) for r in rows]
+    out, pivots = [], []
+    for col in range(ncols):
+        i = next((i for i, r in enumerate(rows) if r[col] != 0), None)
+        if i is None:
+            continue
+        piv = rows.pop(i)
+        piv = [x / piv[col] for x in piv]
+        rows = [[x - r[col] * y for x, y in zip(r, piv)] for r in rows]
+        out = [[x - r[col] * y for x, y in zip(r, piv)] for r in out]
+        out.append(piv)
+        pivots.append(col)
+    return out, pivots
+
+
+def _sparse_fraction_rows(rng, m, n):
+    density = rng.choice([0.0, 0.2, 0.5, 1.0])
+    return [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+             if rng.random() < density else Fraction(0) for _ in range(n)]
+            for _ in range(m)]
+
+
+def _entries_are_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+def _shares_a_row(result_rows, *operands):
+    held = {id(r) for op in operands for r in op}
+    return any(id(r) in held for r in result_rows)
+
+
+def test_dense_kernel_matches_naive_reference():
+    rng = random.Random(2024)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)] + [
+        (rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(60)]
+    for m, n in shapes:
+        a_rows = _sparse_fraction_rows(rng, m, n)
+        b_rows = _sparse_fraction_rows(rng, m, n)
+        p = rng.randrange(0, 6)
+        c_rows = _sparse_fraction_rows(rng, n, p)
+        # the public constructor coerces ints given from outside
+        A = Mat(m, n, [[int(x) if x.denominator == 1 else x for x in r]
+                       for r in a_rows])
+        assert A.rows == a_rows and _entries_are_fractions(A.rows)
+        B, C = Mat(m, n, b_rows), Mat(n, p, c_rows)
+        vec = _sparse_fraction_rows(rng, 1, n)[0]
+        results = [
+            (A + B, [[x + y for x, y in zip(r, s)]
+                     for r, s in zip(a_rows, b_rows)]),
+            (A - B, [[x - y for x, y in zip(r, s)]
+                     for r, s in zip(a_rows, b_rows)]),
+            (A * C, [[sum((r[k] * c_rows[k][j] for k in range(n)),
+                          Fraction(0)) for j in range(p)] for r in a_rows]),
+            (A.transpose(), [[a_rows[i][j] for i in range(m)]
+                             for j in range(n)]),
+            (A.copy(), a_rows),
+        ]
+        for s in (0, 1, -1, 3, Fraction(-2, 3)):
+            want = [[x * s for x in r] for r in a_rows]
+            results += [(A * s, want), (s * A, want)]
+        for got, want in results:
+            assert got.rows == want
+            assert len(got.rows) == got.nrows
+            assert all(len(r) == got.ncols for r in got.rows)
+            assert _entries_are_fractions(got.rows)
+            assert not _shares_a_row(got.rows, A.rows, B.rows, C.rows)
+        mv = A.matvec(vec)
+        assert mv == [sum((x * y for x, y in zip(r, vec)), Fraction(0))
+                      for r in a_rows]
+        assert all(type(x) is Fraction for x in mv)
+        assert A.is_zero() == all(x == 0 for r in a_rows for x in r)
+
+        snapshot = [list(r) for r in a_rows]
+        rows, pivots = rref(A)
+        assert (rows, pivots) == _naive_rref(a_rows, n)
+        assert _entries_are_fractions(rows)
+        assert not _shares_a_row(rows, A.rows)
+        assert A.rows == snapshot
+
+        rs = RowSpace(n)
+        added = []
+        for v in a_rows + b_rows:
+            before = rs.dim()
+            assert rs.contains(v) == \
+                (len(_naive_rref(added + [v], n)[1]) == before)
+            grew = rs.add(v)
+            added.append(v)
+            want_rows, want_pivots = _naive_rref(added, n)
+            assert grew == (len(want_pivots) > before)
+            assert rs.basis() == want_rows and rs.pivots == want_pivots
+            assert _entries_are_fractions(rs.rows)
+            assert not _shares_a_row(rs.rows, a_rows, b_rows)
+        assert A.rows == snapshot

@@ -1,19 +1,25 @@
 """Truncated highest-weight modules: Verma action matrices against closed
 forms, simples, duality, relation checking, Casimir, serialization."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takiff.algebra import E, EBAR, F, FBAR, H, HBAR, GENERATORS, DEPTH_SHIFT
+from takiff import modules as modules_mod
 from takiff.linalg import Mat
-from takiff.modules import (ALPHA, Character, Weight, casimir_action,
-                            casimir_scalar, category_check, character,
-                            check_relations, dualize, module_from_json,
-                            module_to_json, simple_dims, simple_module, verma)
+from takiff.modules import (ALPHA, Character, TruncatedModule, Weight,
+                            casimir_action, casimir_scalar, category_check,
+                            character, check_relations, dualize,
+                            module_from_json, module_to_json, simple_dims,
+                            simple_module, verma)
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
@@ -162,6 +168,34 @@ def test_check_relations_catches_tampering():
     rep = check_relations(m)
     assert not rep.passed
     assert rep.failures
+
+
+def test_module_rejects_wrong_number_of_slices():
+    with pytest.raises(ValueError, match="depth 2 needs 3 slice"):
+        TruncatedModule(Weight(0, 0), 2, [1, 1], {})
+
+
+def test_module_checks_survive_python_O():
+    # assert statements vanish under -O; the checks must not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from takiff.modules import TruncatedModule, Weight\n"
+            "try:\n"
+            "    TruncatedModule(Weight(0, 0), 2, [1, 1], {})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "depth 2 needs 3 slice dimensions, got 2"
+
+
+def test_verma_rejects_a_normal_form_off_its_slice(monkeypatch):
+    # a straightener bug that moved a term to another depth must not pass
+    monkeypatch.setattr(modules_mod, "_gen_on_lowering_monomial",
+                        lambda g, i, j: {(i + j + 1, 0, 0, 0, 0, 0): 1})
+    with pytest.raises(RuntimeError, match="outside depth"):
+        verma(Weight(0, 0), 1)
 
 
 def test_check_relations_skips_only_at_the_edge():

@@ -54,6 +54,18 @@ def test_singular_rejects_off_coset_weight():
         singular_vectors(m, Weight(-12, 0))     # below the window
 
 
+def test_cosingular_rejects_off_coset_weight():
+    m = verma(Weight(2, 0), 4)
+    with pytest.raises(ValueError, match="integer k >= 0"):
+        cosingular_dim(m, Weight(20, 0))        # above the top
+    with pytest.raises(ValueError, match="integer k >= 0"):
+        cosingular_dim(m, Weight(1, 0))         # wrong parity
+    with pytest.raises(ValueError, match="hbar-value"):
+        cosingular_dim(m, Weight(2, 1))         # wrong hbar
+    with pytest.raises(ValueError, match="below the truncation window"):
+        cosingular_dim(m, Weight(-10, 0))       # below the window
+
+
 def test_cosingular_agrees_with_dual_singular():
     m = verma(Weight(2, 0), 5)
     dm = dualize(m)
