@@ -11,7 +11,7 @@ resulting Gabriel quivers (DOT output).
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       EnvelopingElement, bracket, lie_bracket, straighten,
-                      straighten_word, straighten_leftmost, multiply, casimir)
+                      straighten_word, multiply, casimir)
 from .modules import (Weight, ALPHA, Character, TruncatedModule, verma,
                       simple_module, simple_dims, character, dualize,
                       check_relations, casimir_action, casimir_scalar,

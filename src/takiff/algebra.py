@@ -39,7 +39,7 @@ __all__ = [
     "F", "FBAR", "H", "HBAR", "E", "EBAR", "GENERATORS", "GEN_NAMES",
     "GEN_BY_NAME", "H_WEIGHT", "BAR_DEGREE", "DEPTH_SHIFT",
     "bracket", "lie_bracket", "EnvelopingElement", "element",
-    "straighten", "straighten_word", "straighten_leftmost",
+    "straighten", "straighten_word",
     "multiply", "casimir", "word_h_weight", "word_bar_degree",
     "exponents_to_word", "word_to_exponents",
 ]
@@ -87,6 +87,9 @@ def _build_bracket_table():
 
 
 _BRACKET = _build_bracket_table()
+
+# the 15 unordered generator pairs x < y, one per relation [x, y]
+_PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
 
 
 def bracket(x, y):
@@ -202,31 +205,6 @@ def straighten(expr):
     for word, coef in items:
         out = out + straighten_word(tuple(word), Fraction(coef))
     return out
-
-
-def straighten_leftmost(word, coefficient=Fraction(1)):
-    """Reference straightener: repeatedly rewrite the leftmost out-of-order
-    adjacent pair x*y -> y*x + [x,y].  Same answer as straighten_word (the
-    normal form is unique); kept as an independent cross-check.
-    """
-    pending = [(tuple(word), Fraction(coefficient))]
-    done = {}
-    while pending:
-        w, c = pending.pop()
-        if c == 0:
-            continue
-        for i in range(len(w) - 1):
-            x, y = w[i], w[i + 1]
-            if x > y:
-                swapped = w[:i] + (y, x) + w[i + 2:]
-                pending.append((swapped, c))
-                for g, cb in _BRACKET[(x, y)]:
-                    pending.append((w[:i] + (g,) + w[i + 2:], c * cb))
-                break
-        else:
-            key = word_to_exponents(w)
-            done[key] = done.get(key, Fraction(0)) + c
-    return EnvelopingElement({k: c for k, c in done.items() if c != 0})
 
 
 # ---------------------------------------------------------------------------

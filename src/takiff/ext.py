@@ -34,13 +34,11 @@ flat.
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import floor
 
-from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      DEPTH_SHIFT, _BRACKET)
+from .algebra import H, GENERATORS, GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS
 from .linalg import Mat, RowSpace, SparseSystem
-from .modules import Weight, simple_module, casimir_scalar
+from .modules import Weight, simple_module
 
 __all__ = [
     "Block", "block_of", "same_block", "ext1", "stabilize_ext", "ExtResult",
@@ -49,8 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_DEPTH_CAP = 40
-
-_PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
 
 
 def depth_cap():
@@ -193,13 +189,30 @@ def _coset_dims_and_actions(mod, off, N):
     return dims, act
 
 
-def _check_category(category):
+def _pair_on_coset(lam, mu, N):
+    """(dv, av, dw, aw): slice dimensions and action blocks of V = L(lam)
+    and W = L(mu), both placed on their common coset window 0..N."""
+    offv, offw = _coset_layout(lam, mu)
+    dv, av = _coset_dims_and_actions(simple_module(lam, N - offv), offv, N)
+    dw, aw = _coset_dims_and_actions(simple_module(mu, N - offw), offw, N)
+    return dv, av, dw, aw
+
+
+def _prepare(lam, mu, category):
+    """The weights as Weights and, for weights in different blocks, the
+    zero result; raises ValueError for an unknown category."""
+    if not isinstance(lam, Weight):
+        lam = Weight(*lam)
+    if not isinstance(mu, Weight):
+        mu = Weight(*mu)
     if category not in ("O", "Otilde"):
         raise ValueError("category must be 'O' or 'Otilde'")
-
-
-def _zero_result(lam, mu, category, note):
-    return ExtResult(lam, mu, category, 0, 0, stabilized=True, note=note)
+    if same_block(lam, mu):
+        return lam, mu, None
+    note = ("different blocks (%s vs %s): no extensions"
+            % (block_of(lam).label(), block_of(mu).label()))
+    return lam, mu, ExtResult(lam, mu, category, 0, 0, stabilized=True,
+                              note=note)
 
 
 def ext1(lam, mu, category="O", window=None, with_cocycles=True):
@@ -209,16 +222,9 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     The result of a single window is only meaningful once the dimension is
     flat across consecutive windows; use stabilize_ext for the final answer.
     """
-    if not isinstance(lam, Weight):
-        lam = Weight(*lam)
-    if not isinstance(mu, Weight):
-        mu = Weight(*mu)
-    _check_category(category)
-    if not same_block(lam, mu):
-        return _zero_result(
-            lam, mu, category,
-            "different blocks (%s vs %s): no extensions"
-            % (block_of(lam).label(), block_of(mu).label()))
+    lam, mu, zero = _prepare(lam, mu, category)
+    if zero is not None:
+        return zero
     offv, offw = _coset_layout(lam, mu)
     N = _default_window(lam, mu) if window is None else int(window)
     if N < max(offv, offw) + 2:
@@ -230,16 +236,41 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     return result
 
 
+def _factor_terms(mat, n, scale):
+    """The nonzeros (row, column, scale * value) of mat, or of the n x n
+    identity when mat is None."""
+    if mat is None:
+        return [(k, k, scale) for k in range(n)]
+    return [(r, c, a if scale == 1 else scale * a)
+            for r, row in enumerate(mat.rows) for c, a in enumerate(row) if a]
+
+
+def _add_product(rows, width, blk, left, right, sign):
+    """Add the nonzeros of sign * left . X . right into the equation rows,
+    where X is the unknown block blk = (offset, nrows, ncols), stored row
+    major, and entry (r, c) of the product is equation rows[r * width + c].
+    A None factor is the identity; a None block is identically zero."""
+    if blk is None:
+        return
+    off, nr, nc = blk
+    # the sign rides on a factor that is not the identity, so only the
+    # product of two given factors multiplies per equation entry
+    lterms = _factor_terms(left, nr, sign if right is None else 1)
+    rterms = _factor_terms(right, nc, 1 if right is None else sign)
+    for r, i, a in lterms:
+        for j, c, b in rterms:
+            coef = a if right is None else b if left is None else a * b
+            row = rows[r * width + c]
+            idx = off + i * nc + j
+            # a first entry is stored as is: 0 + coef is a Fraction addition
+            row[idx] = row[idx] + coef if idx in row else coef
+
+
 def _solve_window(lam, mu, category, N):
     """Assemble and eliminate the cocycle and coboundary systems of window
     N (same block, N validated); the result carries the eliminated systems
     so representatives can be drawn later without solving again."""
-    offv, offw = _coset_layout(lam, mu)
-    V = simple_module(lam, N - offv)
-    W = simple_module(mu, N - offw)
-    dv, av = _coset_dims_and_actions(V, offv, N)
-    dw, aw = _coset_dims_and_actions(W, offw, N)
-
+    dv, av, dw, aw = _pair_on_coset(lam, mu, N)
     gens_used = tuple(g for g in GENERATORS if not (category == "O" and g == H))
 
     # unknown layout: one block of scalars per (source depth, generator);
@@ -253,108 +284,53 @@ def _solve_window(lam, mu, category, N):
                 blocks[(g, d)] = (nunk, dw[t], dv[d])
                 nunk += dw[t] * dv[d]
 
+    # cocycle condition on each pair and depth, as maps V_d -> W_t;
+    # phi blocks outside the unknown set are identically zero, and the
+    # action each existing block meets is always inside the window
     system = SparseSystem(nunk)
-
-    def act_or_none(table, g, d):
-        return table[g].get(d)
-
     for a, b in _PAIRS:
         sa, sb = DEPTH_SHIFT[a], DEPTH_SHIFT[b]
         for d in range(N + 1):
-            if dv[d] == 0:
-                continue
-            if max(d + sa, d + sb, d + sa + sb) > N:
-                continue  # composite leaves the window: cannot be imposed
             t = d + sa + sb
-            if t < 0 or dw[t] == 0:
+            if max(d + sa, d + sb, t) > N:
+                continue  # composite leaves the window: cannot be imposed
+            if dv[d] == 0 or t < 0 or dw[t] == 0:
                 continue
             rows = [{} for _ in range(dw[t] * dv[d])]
-
-            def add(key, MW, MV, sign):
-                # contribution  sign * MW . phi(key) . MV  with identity
-                # for a missing factor; phi blocks outside the unknown set
-                # are identically zero.
-                blk = blocks.get(key)
-                if blk is None:
-                    return
-                off, nr, nc = blk
-                if MW is None and MV is None:
-                    for r in range(nr):
-                        base = r * dv[d]
-                        for c in range(nc):
-                            row = rows[base + c]
-                            idx = off + r * nc + c
-                            row[idx] = row.get(idx, 0) + sign
-                elif MW is None:
-                    for j in range(MV.nrows):
-                        mvrow = MV.rows[j]
-                        for c in range(MV.ncols):
-                            coef = mvrow[c]
-                            if coef:
-                                for r in range(nr):
-                                    row = rows[r * dv[d] + c]
-                                    idx = off + r * nc + j
-                                    row[idx] = row.get(idx, 0) + sign * coef
-                else:  # MV is None
-                    for r in range(MW.nrows):
-                        mwrow = MW.rows[r]
-                        for i in range(MW.ncols):
-                            coef = mwrow[i]
-                            if coef:
-                                for c in range(nc):
-                                    row = rows[r * dv[d] + c]
-                                    idx = off + i * nc + c
-                                    row[idx] = row.get(idx, 0) + sign * coef
-
-            add((b, d), act_or_none(aw, a, d + sb), None, 1)
-            add((b, d + sa), None, act_or_none(av, a, d), -1)
-            add((a, d + sb), None, act_or_none(av, b, d), 1)
-            add((a, d), act_or_none(aw, b, d + sa), None, -1)
+            _add_product(rows, dv[d], blocks.get((b, d)),
+                         aw[a].get(d + sb), None, 1)
+            _add_product(rows, dv[d], blocks.get((b, d + sa)),
+                         None, av[a].get(d), -1)
+            _add_product(rows, dv[d], blocks.get((a, d + sb)),
+                         None, av[b].get(d), 1)
+            _add_product(rows, dv[d], blocks.get((a, d)),
+                         aw[b].get(d + sa), None, -1)
             for g, coef in _BRACKET[(a, b)]:
-                add((g, d), None, None, -coef)
+                _add_product(rows, dv[d], blocks.get((g, d)), None, None,
+                             -coef)
             for row in rows:
-                if row:
-                    system.add_row(row)
+                system.add_row(row)
+    dim_z = nunk - system.rank()
 
-    rank_eq = system.rank()
-    dim_z = nunk - rank_eq
-
-    # coboundaries of depth-preserving maps psi
+    # coboundaries d psi (g) = rho_W(g) psi - psi rho_V(g): one row per
+    # basis map psi = E_(r, c) of depth d, so the factors are transposed
     bsys = SparseSystem(nunk)
-    bvectors = []
     for d in range(N + 1):
         if dv[d] == 0 or dw[d] == 0:
             continue
-        for r0 in range(dw[d]):
-            for c0 in range(dv[d]):
-                vec = {}
-                for g in gens_used:
-                    s = DEPTH_SHIFT[g]
-                    blk = blocks.get((g, d))
-                    if blk is not None:
-                        off, nr, nc = blk
-                        mw = act_or_none(aw, g, d)
-                        if mw is not None:
-                            for r in range(nr):
-                                coef = mw.rows[r][r0]
-                                if coef:
-                                    idx = off + r * nc + c0
-                                    vec[idx] = vec.get(idx, 0) + coef
-                    blk = blocks.get((g, d - s))
-                    if blk is not None:
-                        off, nr, nc = blk
-                        mv = act_or_none(av, g, d - s)
-                        if mv is not None:
-                            for c in range(nc):
-                                coef = mv.rows[c0][c]
-                                if coef:
-                                    idx = off + r0 * nc + c
-                                    vec[idx] = vec.get(idx, 0) - coef
-                if vec:
-                    bvectors.append(dict(vec))
-                    bsys.add_row(vec)
-    rank_b = bsys.rank()
-    dim = dim_z - rank_b
+        rows = [{} for _ in range(dw[d] * dv[d])]
+        for g in gens_used:
+            s = DEPTH_SHIFT[g]
+            blk = blocks.get((g, d))
+            if blk is not None:
+                _add_product(rows, dv[d], blk, aw[g][d].transpose(), None, 1)
+            blk = blocks.get((g, d - s))
+            if blk is not None:
+                _add_product(rows, dv[d], blk, None,
+                             av[g][d - s].transpose(), -1)
+        for row in rows:
+            bsys.add_row(row)
+    dim = dim_z - bsys.rank()
 
     result = ExtResult(lam, mu, category, N, dim,
                        depths_checked=[N], dim_sequence=[dim],
@@ -388,16 +364,10 @@ def _add_representatives(result):
     for v in reps:
         phi = {}
         for (g, d), (off, nr, nc) in sorted(blocks.items()):
-            mat = Mat.zeros(nr, nc)
-            nonzero = False
-            for r in range(nr):
-                for c in range(nc):
-                    val = v[off + r * nc + c]
-                    if val:
-                        mat.rows[r][c] = val
-                        nonzero = True
-            if nonzero:
-                phi.setdefault(GEN_NAMES[g], {})[d] = mat
+            if any(v[off:off + nr * nc]):
+                phi.setdefault(GEN_NAMES[g], {})[d] = Mat(
+                    nr, nc, [v[off + r * nc:off + (r + 1) * nc]
+                             for r in range(nr)])
         result.cocycles.append(phi)
     return result
 
@@ -406,16 +376,9 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
                   with_cocycles=False):
     """Ext^1 with the truncation window slid until the dimension is flat on
     three consecutive depths.  Raises StabilizationError at the depth cap."""
-    if not isinstance(lam, Weight):
-        lam = Weight(*lam)
-    if not isinstance(mu, Weight):
-        mu = Weight(*mu)
-    _check_category(category)
-    if not same_block(lam, mu):
-        return _zero_result(
-            lam, mu, category,
-            "different blocks (%s vs %s): no extensions"
-            % (block_of(lam).label(), block_of(mu).label()))
+    lam, mu, zero = _prepare(lam, mu, category)
+    if zero is not None:
+        return zero
     cap = depth_cap() if cap is None else int(cap)
     base = _default_window(lam, mu) if start is None else int(start)
     results = {}  # window -> its ExtResult, each window solved once
@@ -452,18 +415,21 @@ def assemble_extension(result, index=0):
     """Build the block-triangular module [[W, phi], [0, V]] for one of the
     representative cocycles (slices ordered W then V at each depth).  The
     result is a TruncatedModule on the common coset window; its relation
-    check is how the solver's output is validated end to end."""
+    check is how the solver's output is validated end to end.  A phi block
+    may be smaller than its slot: it fills the slot's top-left corner."""
     from .modules import TruncatedModule
     lam, mu, N = result.lam, result.mu, result.window
-    offv, offw = _coset_layout(lam, mu)
-    V = simple_module(lam, N - offv)
-    W = simple_module(mu, N - offw)
-    dv, av = _coset_dims_and_actions(V, offv, N)
-    dw, aw = _coset_dims_and_actions(W, offw, N)
+    dv, av, dw, aw = _pair_on_coset(lam, mu, N)
     phi = result.cocycles[index] if result.cocycles else {}
     dims = [dw[d] + dv[d] for d in range(N + 1)]
     actions = {g: {} for g in GENERATORS}
-    anchor = lam if offv == 0 else mu
+    anchor = lam if _coset_layout(lam, mu)[0] == 0 else mu
+
+    def place(mat, blk, r0, c0):
+        if blk is not None:
+            for r, row in enumerate(blk.rows):
+                mat.rows[r0 + r][c0:c0 + blk.ncols] = row
+
     for g in GENERATORS:
         s = DEPTH_SHIFT[g]
         gblocks = phi.get(GEN_NAMES[g], {})
@@ -472,21 +438,9 @@ def assemble_extension(result, index=0):
             if dims[d] == 0 or not (0 <= t <= N):
                 continue
             mat = Mat.zeros(dims[t], dims[d])
-            wblk = aw[g].get(d)
-            if wblk is not None:
-                for r in range(wblk.nrows):
-                    for c in range(wblk.ncols):
-                        mat.rows[r][c] = wblk.rows[r][c]
-            vblk = av[g].get(d)
-            if vblk is not None:
-                for r in range(vblk.nrows):
-                    for c in range(vblk.ncols):
-                        mat.rows[dw[t] + r][dw[d] + c] = vblk.rows[r][c]
-            pblk = gblocks.get(d)
-            if pblk is not None:
-                for r in range(pblk.nrows):
-                    for c in range(pblk.ncols):
-                        mat.rows[r][dw[d] + c] = pblk.rows[r][c]
+            place(mat, aw[g].get(d), 0, 0)
+            place(mat, av[g].get(d), dw[t], dw[d])
+            place(mat, gblocks.get(d), 0, dw[d])
             actions[g][d] = mat
     return TruncatedModule(anchor, N, dims, actions, complete=False,
                            label="extension")

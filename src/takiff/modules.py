@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      GEN_BY_NAME, DEPTH_SHIFT, straighten_word)
+                      GEN_BY_NAME, DEPTH_SHIFT, _BRACKET, _PAIRS,
+                      straighten_word)
 from .linalg import Mat
 
 __all__ = [
@@ -170,10 +171,6 @@ class TruncatedModule:
             ", complete" if self.complete else "")
 
 
-def _init_actions(dims, depth):
-    return {g: {} for g in GENERATORS}
-
-
 def _store(actions, dims, depth, g, n, mat):
     if dims[n] > 0 and 0 <= n + DEPTH_SHIFT[g] <= depth:
         actions[g][n] = mat
@@ -200,7 +197,7 @@ def verma(top, depth):
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dims = [n + 1 for n in range(depth + 1)]
-    actions = _init_actions(dims, depth)
+    actions = {g: {} for g in GENERATORS}
     for g in GENERATORS:
         shift = DEPTH_SHIFT[g]
         for n in range(depth + 1):
@@ -257,7 +254,7 @@ def simple_module(top, depth):
         m.label = "simple"
         return m
     dims = simple_dims(top, depth)
-    actions = _init_actions(dims, depth)
+    actions = {g: {} for g in GENERATORS}
     if top.is_integral_dominant():
         n = int(top.h)
         for d in range(min(n, depth) + 1):
@@ -310,7 +307,7 @@ def dualize(module):
     """
     dims = module.dims
     depth = module.depth
-    actions = _init_actions(dims, depth)
+    actions = {g: {} for g in GENERATORS}
     for g in GENERATORS:
         for n in range(depth + 1):
             t = n + DEPTH_SHIFT[g]
@@ -323,9 +320,6 @@ def dualize(module):
 
 # ---------------------------------------------------------------------------
 # relation checking
-
-_PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
-
 
 @dataclass
 class RelationReport:
@@ -346,7 +340,6 @@ def check_relations(module):
     (and counted); for complete modules everything is checked, since slices
     beyond the window are genuinely zero.
     """
-    from .algebra import _BRACKET  # structure constants
     checked, skipped, failures = 0, [], []
     N = module.depth
     for x, y in _PAIRS:
@@ -477,15 +470,28 @@ def module_from_json(data):
     top = Weight.from_json(data["top"])
     depth = int(data["depth"])
     dims = [int(x) for x in data["dims"]]
-    actions = _init_actions(dims, depth)
+    if len(dims) != depth + 1:
+        raise ValueError("depth %d needs %d slice dimensions, got %d"
+                         % (depth, depth + 1, len(dims)))
+    actions = {g: {} for g in GENERATORS}
     for name, blocks in data["actions"].items():
+        if name not in GEN_BY_NAME:
+            raise ValueError("unknown generator %r" % (name,))
         g = GEN_BY_NAME[name]
         for blk in blocks:
             n = int(blk["from_depth"])
             t = n + DEPTH_SHIFT[g]
+            if not (0 <= n <= depth and 0 <= t <= depth):
+                raise ValueError("%s block at from_depth %d maps to depth %d, "
+                                 "outside 0..%d" % (name, n, t, depth))
             mat = Mat.zeros(dims[t], dims[n])
             for r, c, val in blk["entries"]:
-                mat.rows[int(r)][int(c)] = Fraction(val)
+                r, c = int(r), int(c)
+                if not (0 <= r < dims[t] and 0 <= c < dims[n]):
+                    raise ValueError(
+                        "%s block at from_depth %d: entry (%d, %d) outside "
+                        "its %dx%d shape" % (name, n, r, c, dims[t], dims[n]))
+                mat.rows[r][c] = Fraction(val)
             actions[g][n] = mat
     return TruncatedModule(top, depth, dims, actions,
                            complete=bool(data.get("complete", False)))

@@ -7,10 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                            EnvelopingElement, casimir, element, lie_bracket,
-                            multiply, straighten, straighten_leftmost,
+                            _BRACKET, EnvelopingElement, casimir, element,
+                            lie_bracket, multiply, straighten,
                             straighten_word, word_bar_degree, word_h_weight,
                             word_to_exponents)
+
+
+def straighten_leftmost(word, coefficient=Fraction(1)):
+    """Reference straightener: repeatedly rewrite the leftmost out-of-order
+    adjacent pair x*y -> y*x + [x,y].  Same answer as straighten_word (the
+    normal form is unique); an independent cross-check of its recursion.
+    """
+    pending = [(tuple(word), Fraction(coefficient))]
+    done = {}
+    while pending:
+        w, c = pending.pop()
+        if c == 0:
+            continue
+        for i in range(len(w) - 1):
+            x, y = w[i], w[i + 1]
+            if x > y:
+                swapped = w[:i] + (y, x) + w[i + 2:]
+                pending.append((swapped, c))
+                for g, cb in _BRACKET[(x, y)]:
+                    pending.append((w[:i] + (g,) + w[i + 2:], c * cb))
+                break
+        else:
+            key = word_to_exponents(w)
+            done[key] = done.get(key, Fraction(0)) + c
+    return EnvelopingElement({k: c for k, c in done.items() if c != 0})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 stabilization, assembled extensions, and quivers."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,14 +10,19 @@ import pytest
 
 from takiff import ext as ext_mod
 from takiff.algebra import GEN_NAMES, H, HBAR
-from takiff.linalg import SparseSystem
+from takiff.cli import main
+from takiff.linalg import Mat, SparseSystem
 from takiff.modules import Weight, category_check, check_relations
-from takiff.ext import (Block, StabilizationError, assemble_extension,
-                        block_of, depth_cap, ext1, quiver, same_block,
-                        stabilize_ext)
+from takiff.ext import (Block, ExtResult, StabilizationError,
+                        assemble_extension, block_of, depth_cap, ext1,
+                        quiver, same_block, stabilize_ext)
 from takiff.conformance import EXT_TABLE, expected_arrow_dim
 
-GOLDEN_COCYCLES = Path(__file__).parent / "golden" / "ext_3_1_O_cocycles.json"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COCYCLES = GOLDEN / "ext_3_1_O_cocycles.json"
+# window-4 `ext --cocycles --format json` runs: Otilde with phi(h) kept, an
+# Otilde offset pair, an O pair anchored at mu (offv != 0), and (0,0)->(-2,0)
+GOLDEN_WINDOW4 = json.loads((GOLDEN / "ext_window4_cocycles.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +146,77 @@ def test_ext_table_spot_checks():
     for (lh, lb), (mh, mb), cat, want in fast:
         got = stabilize_ext(Weight(lh, lb), Weight(mh, mb), cat).dim
         assert got == want, ((lh, lb), (mh, mb), cat)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker assembler: rows of sign * L . X . R in the unknowns of X
+
+def _random_mat(rng, nrows, ncols):
+    return Mat(nrows, ncols, [[Fraction(rng.choice([0, 0, 1, -2, 3]),
+                                        rng.choice([1, 2, 3]))
+                               for _ in range(ncols)] for _ in range(nrows)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("left_id, right_id", [(False, False), (True, False),
+                                               (False, True), (True, True)])
+def test_add_product_matches_mat_products(seed, left_id, right_id):
+    rng = random.Random(seed)
+    # seeds 0 and 1 give 0-sized blocks
+    nr, nc = (0, 2) if seed == 0 else (3, 0) if seed == 1 else \
+        (rng.randint(1, 4), rng.randint(1, 4))
+    left = None if left_id else _random_mat(rng, rng.randint(0, 4), nr)
+    right = None if right_id else _random_mat(rng, nc, rng.randint(0, 4))
+    p = nr if left is None else left.nrows
+    q = nc if right is None else right.ncols
+    sign = rng.choice([1, -1, Fraction(-2)])
+    off = rng.randint(0, 5)
+    X = _random_mat(rng, nr, nc)
+    x = [Fraction(0)] * off + [a for row in X.rows for a in row]
+
+    rows = [{} for _ in range(p * q)]
+    ext_mod._add_product(rows, q, (off, nr, nc), left, right, sign)
+    ext_mod._add_product(rows, q, None, left, right, sign)  # zero block
+
+    want = X if left is None else left * X
+    want = want if right is None else want * right
+    got = [sum((coef * x[idx] for idx, coef in row.items()), Fraction(0))
+           for row in rows]
+    assert got == [sign * a for row in want.rows for a in row]
+    assert all(0 <= idx - off < nr * nc for row in rows for idx in row)
+
+
+# ---------------------------------------------------------------------------
+# window-4 cocycle JSON and the extensions assembled from it
+
+@pytest.mark.parametrize("case", GOLDEN_WINDOW4,
+                         ids=lambda c: " ".join(c["argv"][2:11:2]))
+def test_window4_cocycles_match_golden_and_assemble(capsys, case):
+    assert main(case["argv"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(case["output"], indent=2) + "\n"
+
+    # assemble from the JSON, each block sized to its last nonzero entry
+    data = case["output"]
+    lam = Weight(Fraction(data["lambda"]["h"]), Fraction(data["lambda"]["hbar"]))
+    mu = Weight(Fraction(data["mu"]["h"]), Fraction(data["mu"]["hbar"]))
+    cocycles = []
+    for entry in data["cocycles"]:
+        phi = {}
+        for gname, blocks in entry.items():
+            for blk in blocks:
+                ents = blk["entries"]
+                mat = Mat.zeros(max(r for r, _, _ in ents) + 1,
+                                max(c for _, c, _ in ents) + 1)
+                for r, c, val in ents:
+                    mat[r, c] = Fraction(val)
+                phi.setdefault(gname, {})[blk["from_depth"]] = mat
+        cocycles.append(phi)
+    r = ExtResult(lam, mu, data["category"], data["window"], data["dim"],
+                  cocycles=cocycles)
+    assert data["dim"] == len(cocycles) > 0
+    for index in range(len(cocycles)):
+        assert check_relations(assemble_extension(r, index)).passed
 
 
 # ---------------------------------------------------------------------------

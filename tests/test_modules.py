@@ -284,3 +284,28 @@ def test_module_json_roundtrip():
         assert again == m
         s = simple_module(Weight(2, 0), 4)
         assert module_from_json(module_to_json(s)) == s
+
+
+def _corrupt_verma_json(edit):
+    data = module_to_json(verma(Weight(1, 0), 2))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit, message", [
+    # e raises depth: from depth 0 it would land at depth -1
+    (lambda d: d["actions"]["e"].append(
+        {"from_depth": 0, "entries": [[0, 0, "1"]]}),
+     "e block at from_depth 0 maps to depth -1"),
+    # f lowers depth: from the last depth it leaves the window
+    (lambda d: d["actions"]["f"].append(
+        {"from_depth": 2, "entries": [[0, 0, "1"]]}),
+     "f block at from_depth 2 maps to depth 3"),
+    (lambda d: d["actions"]["h"][1]["entries"].append([-1, 0, "7"]),
+     r"h block at from_depth 1: entry \(-1, 0\) outside its 2x2 shape"),
+    (lambda d: d["dims"].pop(), "depth 2 needs 3 slice dimensions, got 2"),
+    (lambda d: d["actions"].update(g=[]), "unknown generator 'g'"),
+])
+def test_module_from_json_rejects_inconsistent_blocks(edit, message):
+    with pytest.raises(ValueError, match=message):
+        module_from_json(_corrupt_verma_json(edit))
