@@ -55,6 +55,18 @@ H_WEIGHT = (-2, -2, 0, 0, 2, 2)
 BAR_DEGREE = (0, 1, 0, 1, 0, 1)
 DEPTH_SHIFT = (+1, +1, 0, 0, -1, -1)
 
+
+def exact_int(value, name):
+    """value as an int.  Depths, windows and indices are integers: an int or
+    an integral Fraction passes, anything else (4.9, 1.5, "3", 2.0) raises
+    ValueError naming the argument, where int() would truncate."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 

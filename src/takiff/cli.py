@@ -10,6 +10,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (GEN_BY_NAME, GEN_NAMES, EnvelopingElement, casimir,
                       element, lie_bracket, multiply, straighten_word,
@@ -418,9 +419,15 @@ def build_parser():
     return top
 
 
+@lru_cache(maxsize=None)
+def _shared_parser():
+    """The parser main() reuses: building one costs more than most
+    commands, and parse_args leaves a parser as it found it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except StabilizationError as exc:

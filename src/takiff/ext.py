@@ -36,7 +36,8 @@ import os
 from dataclasses import dataclass, field
 from math import floor
 
-from .algebra import H, GENERATORS, GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS
+from .algebra import (H, GENERATORS, GEN_NAMES, DEPTH_SHIFT, _BRACKET,
+                      _PAIRS, exact_int)
 from .linalg import Mat, RowSpace, SparseSystem
 from .modules import Weight, simple_module
 
@@ -222,11 +223,13 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     The result of a single window is only meaningful once the dimension is
     flat across consecutive windows; use stabilize_ext for the final answer.
     """
+    if window is not None:
+        window = exact_int(window, "window")
     lam, mu, zero = _prepare(lam, mu, category)
     if zero is not None:
         return zero
     offv, offw = _coset_layout(lam, mu)
-    N = _default_window(lam, mu) if window is None else int(window)
+    N = _default_window(lam, mu) if window is None else window
     if N < max(offv, offw) + 2:
         raise ValueError("window %d too small for offsets (%d, %d)"
                          % (N, offv, offw))
@@ -376,11 +379,15 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
                   with_cocycles=False):
     """Ext^1 with the truncation window slid until the dimension is flat on
     three consecutive depths.  Raises StabilizationError at the depth cap."""
+    if start is not None:
+        start = exact_int(start, "start")
+    if cap is not None:
+        cap = exact_int(cap, "cap")
     lam, mu, zero = _prepare(lam, mu, category)
     if zero is not None:
         return zero
-    cap = depth_cap() if cap is None else int(cap)
-    base = _default_window(lam, mu) if start is None else int(start)
+    cap = depth_cap() if cap is None else cap
+    base = _default_window(lam, mu) if start is None else start
     results = {}  # window -> its ExtResult, each window solved once
 
     if base + 2 > cap:

@@ -23,6 +23,13 @@ becomes its pivot:
 - sparse (SparseSystem): the row with the fewest nonzeros, lowest index on
   ties (Markowitz 1957), which keeps fill-in and coefficient growth down.
 
+The sparse engine solves homogeneous systems, where a row matters only up to
+a nonzero scale.  Inside eliminate() it keeps each row as an integer vector
+with no denominator, eliminates fraction-free (cross-multiplying by the
+pivot's lead and the row's entry, each divided by their gcd), and divides
+out a row's content only after a rescale by a factor other than 1; the rows
+it leaves are Fractions again.
+
 The pivot row never shows in a kernel basis or a reduced vector.  With the
 columns taken in order, a column is a pivot column exactly when it is not a
 combination of the columns before it, so the pivot columns are fixed by the
@@ -350,6 +357,18 @@ class RowSpace:
 # ---------------------------------------------------------------------------
 # sparse elimination (for the cocycle systems, which are large but local)
 
+def _divide_content(row):
+    """Divide an integer dict in place by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for c, v in row.items():
+            row[c] = v // g
+
+
 class SparseSystem:
     """Homogeneous system over Q with rows stored as {column: coefficient}.
 
@@ -361,6 +380,10 @@ class SparseSystem:
     elimination would destroy that locality.  Nullspace vectors are
     back-substituted on demand instead; they and reduced vectors do not
     depend on the pivot rows (see the module docstring).
+
+    After eliminate(), ``rows`` has one entry per row added, in order: a
+    pivot row as Fractions with 1 at its pivot, every other row empty; and
+    ``pivot_of_col`` maps each pivot column to its row's index.
     """
 
     def __init__(self, ncols):
@@ -370,96 +393,93 @@ class SparseSystem:
 
     def add_row(self, row):
         """Append a row {column: coefficient}; after eliminate() the next
-        query eliminates again, with the echelon rows plus this one."""
-        row = {c: Fraction(v) for c, v in row.items() if v != 0}
+        query eliminates again, with the echelon rows plus this one.  A
+        column outside 0..ncols-1 raises ValueError."""
+        row = {c: v if type(v) is Fraction else Fraction(v)
+               for c, v in row.items() if v}
         if row:
+            if min(row) < 0 or max(row) >= self.ncols:
+                raise ValueError("row columns %s outside 0..%d"
+                                 % (sorted(row), self.ncols - 1))
             self.rows.append(row)
             self._eliminated = False
 
     @staticmethod
     def _to_integer_row(row):
-        """(integer dict, positive denominator) with content reduced, equal
-        to the rational row entrywise."""
+        """A primitive integer dict that is a positive multiple of the
+        rational row."""
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
         ints = {c: v.numerator * (den // v.denominator)
                 for c, v in row.items()}
-        g = den
-        for v in ints.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            ints = {c: v // g for c, v in ints.items()}
-        return ints, den
+        _divide_content(ints)
+        return ints
 
     def eliminate(self):
         """Row-echelon pass in column order.  Each column's pivot is the
         available row with the fewest nonzeros, lowest index on ties
-        (Markowitz), which keeps fill-in and coefficient growth small.  The
-        arithmetic runs on integer-scaled rows with their content divided
-        out."""
+        (Markowitz), which keeps fill-in and coefficient growth small.
+
+        The system is homogeneous, so a row matters only up to scale: the
+        arithmetic runs on integer rows with no denominator, and a row
+        becomes a * row - b * pivot with a = lead / g, b = factor / g,
+        g = gcd(lead, factor).  With a = 1 (after folding a sign into b) the
+        row is updated in place; only a rescale by |a| > 1 is followed by
+        dividing out the row's content."""
         if self._eliminated:
             return
-        irows = [self._to_integer_row(r) for r in self.rows]
-        touching = {}
-        for i, (ints, _) in enumerate(irows):
-            for c in ints:
-                touching.setdefault(c, set()).add(i)
+        rows = [self._to_integer_row(r) for r in self.rows]
+        # touching[c] holds every row with a nonzero in column c, and may
+        # still hold rows whose entry there has since cancelled: a row is
+        # added once, when its entry in c first appears.  Fill-in lands only
+        # right of the current column, so a finished column's set is dropped.
+        touching = [set() for _ in range(self.ncols)]
+        for i, row in enumerate(rows):
+            for c in row:
+                touching[c].add(i)
         self.pivot_of_col = {}
         used = set()
         for col in range(self.ncols):
-            # touching[col] may still list rows whose entry here cancelled
-            live = [i for i in touching.get(col, ())
-                    if i not in used and col in irows[i][0]]
+            live = [i for i in touching[col]
+                    if i not in used and col in rows[i]]
+            touching[col] = None
             if not live:
                 continue
-            best = min(live, key=lambda i: (len(irows[i][0]), i))
+            best = min(live, key=lambda i: (len(rows[i]), i))
             self.pivot_of_col[col] = best
             used.add(best)
-            pints = irows[best][0]
-            plead = pints[col]
-            pitems = list(pints.items())
+            piv = rows[best]
+            lead = piv[col]
+            pitems = [(c, v) for c, v in piv.items() if c != col]
             for i in live:
                 if i == best:
                     continue
-                ints, den = irows[i]
-                factor = ints[col]
-                # row <- row - (row[col]/piv[col]) * piv, over a common
-                # integer scale; signs arranged so the denominator stays > 0
-                out = {c: v * plead for c, v in ints.items()}
+                row = rows[i]
+                factor = row.pop(col)
+                g = gcd(lead, factor)
+                a, b = lead // g, factor // g
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    for c, v in row.items():
+                        row[c] = a * v
                 for c, pv in pitems:
-                    nv = out.get(c, 0) - factor * pv
-                    if nv:
-                        out[c] = nv
-                    elif c in out:
-                        del out[c]
-                nden = den * plead
-                if nden < 0:
-                    nden = -nden
-                    out = {c: -v for c, v in out.items()}
-                g = nden
-                for v in out.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    nden //= g
-                    out = {c: v // g for c, v in out.items()}
-                irows[i] = (out, nden)
-                for c in out:
-                    touching.setdefault(c, set()).add(i)
-        # expose the echelon rows as rationals with pivot normalized to 1
-        self.rows = []
-        for ints, den in irows:
-            self.rows.append({c: Fraction(v, den) for c, v in ints.items()})
-        for col, i in self.pivot_of_col.items():
-            row = self.rows[i]
-            lead = row[col]
-            if lead != 1:
-                self.rows[i] = {c: v / lead for c, v in row.items()}
+                    v = row.get(c)
+                    if v is None:
+                        row[c] = -b * pv
+                        touching[c].add(i)
+                    else:
+                        v -= b * pv
+                        if v:
+                            row[c] = v
+                        else:
+                            del row[c]
+                if a != 1:
+                    _divide_content(row)
+        leads = {i: rows[i][col] for col, i in self.pivot_of_col.items()}
+        self.rows = [{c: Fraction(v, leads.get(i, 1)) for c, v in row.items()}
+                     for i, row in enumerate(rows)]
         self._eliminated = True
 
     def rank(self):

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       GEN_BY_NAME, DEPTH_SHIFT, _BRACKET, _PAIRS,
-                      straighten_word)
+                      exact_int, straighten_word)
 from .linalg import Mat
 
 __all__ = [
@@ -126,8 +126,8 @@ class TruncatedModule:
 
     def __init__(self, top, depth, dims, actions, complete=False, label=""):
         self.top = top
-        self.depth = int(depth)
-        self.dims = [int(d) for d in dims]
+        self.depth = exact_int(depth, "depth")
+        self.dims = [exact_int(d, "slice dimension") for d in dims]
         if len(self.dims) != self.depth + 1:
             raise ValueError("depth %d needs %d slice dimensions, got %d"
                              % (self.depth, self.depth + 1, len(self.dims)))
@@ -193,11 +193,12 @@ def verma(top, depth):
     """
     if not isinstance(top, Weight):
         top = Weight(*top)
-    depth = int(depth)
+    depth = exact_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dims = [n + 1 for n in range(depth + 1)]
     actions = {g: {} for g in GENERATORS}
+    powers = {}  # (c, d) -> top.h^c * top.hbar^d
     for g in GENERATORS:
         shift = DEPTH_SHIFT[g]
         for n in range(depth + 1):
@@ -215,7 +216,13 @@ def verma(top, depth):
                             "normal form of %s * f^%d fbar^%d has a term "
                             "f^%d fbar^%d outside depth %d"
                             % (GEN_NAMES[g], n - j, j, a, b, t))
-                    mat.rows[b][j] += coef * top.h ** c * top.hbar ** d
+                    pw = powers.get((c, d))
+                    if pw is None:
+                        pw = powers[c, d] = top.h ** c * top.hbar ** d
+                    # a first term is stored as is: 0 + term is a Fraction
+                    # addition
+                    row, term = mat.rows[b], coef * pw
+                    row[j] = row[j] + term if row[j] else term
             actions[g][n] = mat
     return TruncatedModule(top, depth, dims, actions, complete=False,
                            label="verma")
@@ -246,7 +253,7 @@ def simple_module(top, depth):
     """
     if not isinstance(top, Weight):
         top = Weight(*top)
-    depth = int(depth)
+    depth = exact_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if top.hbar != 0:
@@ -468,8 +475,8 @@ def module_to_json(module):
 
 def module_from_json(data):
     top = Weight.from_json(data["top"])
-    depth = int(data["depth"])
-    dims = [int(x) for x in data["dims"]]
+    depth = exact_int(data["depth"], "depth")
+    dims = [exact_int(x, "slice dimension") for x in data["dims"]]
     if len(dims) != depth + 1:
         raise ValueError("depth %d needs %d slice dimensions, got %d"
                          % (depth, depth + 1, len(dims)))
@@ -479,14 +486,15 @@ def module_from_json(data):
             raise ValueError("unknown generator %r" % (name,))
         g = GEN_BY_NAME[name]
         for blk in blocks:
-            n = int(blk["from_depth"])
+            n = exact_int(blk["from_depth"], "%s from_depth" % name)
             t = n + DEPTH_SHIFT[g]
             if not (0 <= n <= depth and 0 <= t <= depth):
                 raise ValueError("%s block at from_depth %d maps to depth %d, "
                                  "outside 0..%d" % (name, n, t, depth))
             mat = Mat.zeros(dims[t], dims[n])
             for r, c, val in blk["entries"]:
-                r, c = int(r), int(c)
+                r = exact_int(r, "%s entry row" % name)
+                c = exact_int(c, "%s entry column" % name)
                 if not (0 <= r < dims[t] and 0 <= c < dims[n]):
                     raise ValueError(
                         "%s block at from_depth %d: entry (%d, %d) outside "

@@ -76,7 +76,7 @@ def test_criterion_09_hasse_n4():
 
 def test_criterion_10_ext_table():
     _criterion(10, "ext dimension table", conformance.check_ext_table,
-               bound=15.0)
+               bound=5.0)
 
 
 def _check_golden_quivers():

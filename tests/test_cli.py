@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from takiff import cli
 from takiff.cli import main
 
 
@@ -30,6 +31,40 @@ def test_bracket_rejects_unknown_generator(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bracket", "e", "q"])
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    commands = [["bracket", "e", "fbar"],
+                ["ext", "--h", "0", "--mu-h", "-2", "--window", "4"],
+                ["bracket", "e", "q"],  # argparse error: exit status 2
+                ["verma", "--h", "-1/2", "--depth", "2"],
+                ["ext", "--h", "0", "--mu-h", "-2", "--window", "2"],
+                ["block", "--h", "1/2", "--format", "json"],
+                ["bracket", "e", "fbar"]]
+
+    def outputs(fresh):
+        seen = []
+        for argv in commands:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        return seen
+
+    cli._shared_parser.cache_clear()
+    shared = outputs(fresh=False)
+    assert len(built) == 1
+    assert shared == outputs(fresh=True)
+    assert len(built) == 1 + len(commands)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 1, 0, 0]
 
 
 def test_straighten_text_and_json(capsys):

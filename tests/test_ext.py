@@ -57,6 +57,29 @@ def test_category_is_validated_before_the_block_shortcut(fn):
         fn(Weight(0, 0), Weight(1, 0), "bogus")
 
 
+@pytest.mark.parametrize("mu", [Weight(-2, 0), Weight(1, 0)])
+@pytest.mark.parametrize("fn, kwargs, message", [
+    (ext1, {"window": 4.9}, "window must be an integer, got 4.9"),
+    (ext1, {"window": Fraction(9, 2)},
+     r"window must be an integer, got Fraction\(9, 2\)"),
+    (stabilize_ext, {"start": 3.7}, "start must be an integer, got 3.7"),
+    (stabilize_ext, {"cap": 7.9}, "cap must be an integer, got 7.9"),
+])
+def test_window_arguments_must_be_integers(fn, kwargs, message, mu):
+    # int() would truncate 4.9 to 4; also across blocks, where no window
+    # is ever solved
+    with pytest.raises(ValueError, match=message):
+        fn(Weight(0, 0), mu, "O", **kwargs)
+
+
+def test_integral_fraction_windows_are_accepted():
+    lam, mu = Weight(0, 0), Weight(-2, 0)
+    assert ext1(lam, mu, "O", window=Fraction(4)).to_json() == \
+        ext1(lam, mu, "O", window=4).to_json()
+    r = stabilize_ext(lam, mu, "O", start=Fraction(3), cap=Fraction(8))
+    assert r.depths_checked == [3, 4, 5]
+
+
 # ---------------------------------------------------------------------------
 # the solver at fixed windows: a self-pair with known window-exact answers
 

@@ -224,6 +224,15 @@ def test_sparse_empty_system():
     assert len(sysm.nullspace_basis()) == 3
 
 
+@pytest.mark.parametrize("col", [-1, 3])
+def test_add_row_rejects_a_column_outside_the_system(col):
+    # a negative column would otherwise index the column list from its end
+    sysm = SparseSystem(3)
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        sysm.add_row({0: 1, col: 2})
+    assert sysm.rows == []
+
+
 def test_add_row_after_eliminate_is_not_ignored():
     sysm = SparseSystem(2)
     sysm.add_row({0: 1})
@@ -251,6 +260,88 @@ def test_add_row_after_eliminate_matches_dense():
         for v in _random_rows(rng, 3, n):
             assert sysm.reduce_vector(v) == \
                 _dense_normal_form(rref_rows, pivots, v)
+
+
+# ---------------------------------------------------------------------------
+# the integer sparse elimination against a plain Fraction reference
+
+def _reference_echelon(ncols, rows):
+    """Fewest-nonzeros, lowest-index elimination in plain Fractions: the
+    rows afterwards ({} unless a pivot row, pivot rows with 1 at the pivot)
+    and the pivot row of each pivot column."""
+    rows = [dict(r) for r in rows]
+    pivot_of_col = {}
+    for col in range(ncols):
+        live = [i for i, r in enumerate(rows)
+                if col in r and i not in pivot_of_col.values()]
+        if not live:
+            continue
+        best = min(live, key=lambda i: (len(rows[i]), i))
+        pivot_of_col[col] = best
+        piv = rows[best]
+        for i in live:
+            if i != best:
+                f = rows[i][col] / piv[col]
+                for c, v in piv.items():
+                    x = rows[i].get(c, 0) - f * v
+                    if x:
+                        rows[i][c] = x
+                    else:
+                        rows[i].pop(c, None)
+    for col, i in pivot_of_col.items():
+        lead = rows[i][col]
+        rows[i] = {c: v / lead for c, v in rows[i].items()}
+    return rows, pivot_of_col
+
+
+# leads of either sign that divide (1, 2) and do not divide (3, 4/3) the
+# entries they eliminate, over mixed denominators
+_ENTRIES = [Fraction(x) for x in
+            (1, -1, 2, -2, 3, -3, 6, -6, "1/2", "-1/2", "2/3", "-4/3", "5/6")]
+
+
+def _random_sparse_rows(rng, m, n):
+    """m rows over n columns; about a third of the columns stay all zero,
+    and some rows repeat an earlier one, verbatim or rescaled."""
+    cols = rng.sample(range(n), max(1, 2 * n // 3))
+    rows = []
+    while len(rows) < m:
+        if rows and rng.random() < 0.25:
+            k = rng.choice(_ENTRIES)
+            rows.append({c: k * v for c, v in rng.choice(rows).items()})
+        else:
+            row = {c: rng.choice(_ENTRIES) for c in cols
+                   if rng.random() < 0.4}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _assert_same_echelon(sysm, rows):
+    want_rows, want_pivots = _reference_echelon(sysm.ncols, rows)
+    assert sysm.pivot_of_col == want_pivots
+    assert len(sysm.rows) == len(want_rows)
+    assert sysm.rows == want_rows
+    assert all(type(v) is Fraction for r in sysm.rows for v in r.values())
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (8, 5), (5, 9), (12, 12), (20, 8)])
+def test_sparse_eliminate_matches_fraction_reference(m, n):
+    rng = random.Random(100 * m + n)
+    for _ in range(40):
+        rows = _random_sparse_rows(rng, m, n)
+        sysm = SparseSystem(n)
+        for row in rows:
+            sysm.add_row(row)
+        sysm.eliminate()
+        _assert_same_echelon(sysm, rows)
+        # add_row after eliminate: the echelon rows plus the new ones
+        echelon = [dict(r) for r in sysm.rows]
+        extra = _random_sparse_rows(rng, rng.randrange(1, 4), n)
+        for row in extra:
+            sysm.add_row(row)
+        sysm.eliminate()
+        _assert_same_echelon(sysm, echelon + extra)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,22 @@ def test_module_rejects_wrong_number_of_slices():
         TruncatedModule(Weight(0, 0), 2, [1, 1], {})
 
 
+def test_module_rejects_non_integer_depth_and_dims():
+    with pytest.raises(ValueError, match="depth must be an integer, got 1.5"):
+        TruncatedModule(Weight(0, 0), 1.5, [1, 1], {})
+    with pytest.raises(ValueError, match="slice dimension must be an integer"):
+        TruncatedModule(Weight(0, 0), 1, [1, Fraction(3, 2)], {})
+
+
+@pytest.mark.parametrize("build", [verma, simple_module])
+def test_depth_must_be_an_integer(build):
+    with pytest.raises(ValueError, match="depth must be an integer, got 2.5"):
+        build(Weight(1, 0), 2.5)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        build(Weight(1, 0), Fraction(5, 2))
+    assert build(Weight(1, 0), Fraction(2)) == build(Weight(1, 0), 2)
+
+
 def test_module_checks_survive_python_O():
     # assert statements vanish under -O; the checks must not
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -305,6 +321,16 @@ def _corrupt_verma_json(edit):
      r"h block at from_depth 1: entry \(-1, 0\) outside its 2x2 shape"),
     (lambda d: d["dims"].pop(), "depth 2 needs 3 slice dimensions, got 2"),
     (lambda d: d["actions"].update(g=[]), "unknown generator 'g'"),
+    # non-integers are rejected, not truncated by int()
+    (lambda d: d["actions"]["h"][1].update(from_depth=1.5),
+     "h from_depth must be an integer, got 1.5"),
+    (lambda d: d["actions"]["h"][1]["entries"].append([1.5, 0, "7"]),
+     "h entry row must be an integer, got 1.5"),
+    (lambda d: d["actions"]["h"][1]["entries"].append([0, 0.5, "7"]),
+     "h entry column must be an integer, got 0.5"),
+    (lambda d: d.update(depth=2.5), "depth must be an integer, got 2.5"),
+    (lambda d: d["dims"].__setitem__(1, 2.5),
+     "slice dimension must be an integer, got 2.5"),
 ])
 def test_module_from_json_rejects_inconsistent_blocks(edit, message):
     with pytest.raises(ValueError, match=message):
