@@ -67,6 +67,22 @@ def exact_int(value, name):
     raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def exact_rat(value, name):
+    """value as a Fraction.  An int, a Fraction or a string such as "-3/4"
+    passes; a float (0.1 is only a binary approximation of 1/10, and JSON
+    readers hand out floats) or anything else raises ValueError naming the
+    field."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ValueError:
+            pass
+    raise ValueError("%s must be an exact rational (an int or a 'p/q' "
+                     "string), got %r" % (name, value))
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 
@@ -302,8 +318,8 @@ class EnvelopingElement(dict):
 
     @classmethod
     def from_json(cls, data):
-        return cls({tuple(t["exp"]): Fraction(t["coef"])
-                    for t in data["terms"]})
+        return cls({tuple(exact_int(e, "exp") for e in t["exp"]):
+                    exact_rat(t["coef"], "coef") for t in data["terms"]})
 
 
 def element(*words_and_coefs):

@@ -9,9 +9,9 @@ and the hand calculation disagree.  ``run_all`` drives them; the CLI's
 """
 
 import random
-import time
 from fractions import Fraction
 from math import ceil
+from time import perf_counter
 
 from .algebra import (GENERATORS, GEN_NAMES, bracket, lie_bracket, element,
                       casimir, multiply, straighten_word)
@@ -364,11 +364,11 @@ def run_all(ids=None):
                 sorted(unknown)))
     out = []
     for cid, fn in selected:
-        t0 = time.time()
+        t0 = perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
         out.append({"id": cid, "ok": bool(ok), "detail": detail,
-                    "seconds": round(time.time() - t0, 2)})
+                    "seconds": round(perf_counter() - t0, 2)})
     return out

@@ -506,6 +506,7 @@ def quiver(seed, lo=-2, hi=2, category="O", cap=None):
     """
     if not isinstance(seed, Weight):
         seed = Weight(*seed)
+    lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
     blk = block_of(seed)
     if blk.kind == "nondegenerate":
         vertices = [(0, blk.rep, "w")]

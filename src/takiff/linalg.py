@@ -14,30 +14,31 @@ modules here are sparse (a depth-20 Verma's action blocks are about 10 %
 nonzero), so this removes most of the arithmetic without changing a single
 result.
 
-Both elimination engines walk the columns in order and differ only in which
-of the rows still available with a nonzero entry in the current column
-becomes its pivot:
+There are two elimination engines, one per job:
 
-- dense (rref, kernel_basis, solve_columns): the row whose entry has the
-  largest absolute numerator, first such row on ties;
-- sparse (SparseSystem): the row with the fewest nonzeros, lowest index on
-  ties (Markowitz 1957), which keeps fill-in and coefficient growth down.
+- RowSpace, for the slices of a module (small dense matrices, a depth-20
+  Verma slice is 21 columns wide).  It is incremental Gauss-Jordan: each
+  added vector is reduced by the rows so far, scaled to 1 at its first
+  nonzero column and back-substituted into the other rows, so the rows stay
+  the canonical RREF of the span.  rref, rank, kernel_basis and
+  solve_columns feed their rows into one.
+- SparseSystem, for the Ext cocycle systems (large, banded, homogeneous).
+  It walks the columns in order and takes as pivot the row with the fewest
+  nonzeros, lowest index on ties (Markowitz 1957), which keeps fill-in and
+  coefficient growth down.  Inside eliminate() it keeps each row as an
+  integer vector with no denominator, eliminates fraction-free
+  (cross-multiplying by the pivot's lead and the row's entry, each divided
+  by their gcd), and divides out a row's content only after a rescale by a
+  factor other than 1; the rows it leaves are Fractions again.
 
-The sparse engine solves homogeneous systems, where a row matters only up to
-a nonzero scale.  Inside eliminate() it keeps each row as an integer vector
-with no denominator, eliminates fraction-free (cross-multiplying by the
-pivot's lead and the row's entry, each divided by their gcd), and divides
-out a row's content only after a rescale by a factor other than 1; the rows
-it leaves are Fractions again.
-
-The pivot row never shows in a kernel basis or a reduced vector.  With the
-columns taken in order, a column is a pivot column exactly when it is not a
-combination of the columns before it, so the pivot columns are fixed by the
-matrix; and the kernel vector with 1 at one free column and 0 at the others,
-like the element of v + rowspace that vanishes on every pivot column, is
-unique.
+The pivot row never shows in a kernel basis or a reduced vector.  A column
+is a pivot column exactly when it is not a combination of the columns
+before it, so the pivot columns are fixed by the matrix; and the kernel
+vector with 1 at one free column and 0 at the others, like the element of
+v + rowspace that vanishes on every pivot column, is unique.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -208,48 +209,24 @@ class Mat:
         return "Mat[%s]" % body
 
 
-def _pick_pivot(rows, candidates, col):
-    """Deterministic pivot: max |numerator| in this column, first on ties."""
-    best = None
-    best_num = -1
-    for i in candidates:
-        a = rows[i][col]
-        if a:
-            n = abs(a.numerator)
-            if n > best_num:
-                best, best_num = i, n
-    return best
+def _as_mat(mat):
+    """A Mat as is; a list of row lists as a Mat of Fractions."""
+    if isinstance(mat, Mat):
+        return mat
+    return Mat(len(mat), len(mat[0]) if mat else 0, mat)
 
 
 def rref(mat):
     """Reduced row echelon form.  Returns (list of reduced rows, pivot cols).
 
-    Accepts a Mat or a list of row lists; the input is not modified.
+    Accepts a Mat or a list of row lists; the input is not modified.  The
+    rows go, in order, into one RowSpace, whose rows are the RREF.
     """
-    if isinstance(mat, Mat):
-        rows = [list(r) for r in mat.rows]
-        ncols = mat.ncols
-    else:
-        rows = [list(r) for r in mat]
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    free = list(range(len(rows)))
-    for col in range(ncols):
-        i = _pick_pivot(rows, free, col)
-        if i is None:
-            continue
-        free.remove(i)
-        piv = rows[i]
-        a = piv[col]
-        if a != 1:
-            rows[i] = piv = [x / a if x else x for x in piv]
-        for j, rj in enumerate(rows):
-            c = rj[col]
-            if c and j != i:
-                _axpy_into(rj, c, piv)
-        pivots.append((col, i))
-    ordered = [rows[i] for _, i in pivots]
-    return ordered, [col for col, _ in pivots]
+    mat = _as_mat(mat)
+    space = RowSpace(mat.ncols)
+    for row in mat.rows:
+        space.add(row)
+    return space.rows, space.pivots
 
 
 def rank(mat):
@@ -262,10 +239,8 @@ def kernel_basis(mat):
     Each basis vector has 1 in its free coordinate and the pivot coordinates
     solved from the RREF.
     """
-    if isinstance(mat, Mat):
-        ncols = mat.ncols
-    else:
-        ncols = len(mat[0]) if len(mat) else 0
+    mat = _as_mat(mat)
+    ncols = mat.ncols
     rows, pivots = rref(mat)
     pivot_set = set(pivots)
     basis = []
@@ -281,23 +256,24 @@ def kernel_basis(mat):
 
 
 def solve_columns(A, B):
-    """Solve A @ X = B column by column; raises ValueError if inconsistent.
+    """Solve A @ X = B column by column; raises ValueError if inconsistent
+    or if A and B differ in their number of rows.
 
     A: Mat (m x n) with full column rank not required -- any solution is
     returned (free variables set to 0, deterministically via RREF).
     """
-    aug = [list(ar) + list(br) for ar, br in zip(A.rows, B.rows)]
-    if not aug:
-        # 0-row system: consistent iff B has no rows; X = 0
-        return Mat(A.ncols, B.ncols)
-    rows, pivots = rref(aug)
+    if A.nrows != B.nrows:
+        raise ValueError("solve_columns: A is %dx%d but B is %dx%d; they need "
+                         "the same number of rows"
+                         % (A.nrows, A.ncols, B.nrows, B.ncols))
     n = A.ncols
-    X = Mat(A.ncols, B.ncols)
+    rows, pivots = rref(Mat._adopt(A.nrows, n + B.ncols,
+                                   [ar + br for ar, br in zip(A.rows, B.rows)]))
+    X = Mat(n, B.ncols)
     for prow, pcol in zip(rows, pivots):
         if pcol >= n:
             raise ValueError("inconsistent linear system")
-        for j in range(B.ncols):
-            X.rows[pcol][j] = prow[n + j]
+        X.rows[pcol] = prow[n:]
     return X
 
 
@@ -335,7 +311,7 @@ class RowSpace:
                     c = row[p]
                     if c:
                         _axpy_into(row, c, v)
-                idx = sum(1 for q in self.pivots if q < p)
+                idx = bisect_left(self.pivots, p)
                 self.rows.insert(idx, v)
                 self.pivots.insert(idx, p)
                 return True
@@ -373,11 +349,10 @@ class SparseSystem:
     """Homogeneous system over Q with rows stored as {column: coefficient}.
 
     eliminate() walks the columns in order and takes as pivot the row with
-    the fewest nonzeros, lowest index on ties (the dense engine takes the
-    largest |numerator| instead).  It is forward elimination only (row
-    echelon, pivot rows normalized but never revisited): these systems are
-    banded along the depth grading and full back-substitution during
-    elimination would destroy that locality.  Nullspace vectors are
+    the fewest nonzeros, lowest index on ties.  It is forward elimination
+    only (row echelon, pivot rows normalized but never revisited): these
+    systems are banded along the depth grading and full back-substitution
+    during elimination would destroy that locality.  Nullspace vectors are
     back-substituted on demand instead; they and reduced vectors do not
     depend on the pivot rows (see the module docstring).
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       GEN_BY_NAME, DEPTH_SHIFT, _BRACKET, _PAIRS,
-                      exact_int, straighten_word)
+                      exact_int, exact_rat, straighten_word)
 from .linalg import Mat
 
 __all__ = [
@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 
-def _rat(x):
-    """Coerce to Fraction; floats are rejected (exactness is the contract)."""
-    if isinstance(x, float):
-        raise TypeError("floats are not accepted; use Fraction or 'p/q'")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class Weight:
     """A weight (value on h, value on hbar), exact rationals only."""
@@ -56,8 +49,8 @@ class Weight:
     hbar: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _rat(self.h))
-        object.__setattr__(self, "hbar", _rat(self.hbar))
+        object.__setattr__(self, "h", exact_rat(self.h, "h"))
+        object.__setattr__(self, "hbar", exact_rat(self.hbar, "hbar"))
 
     def down(self, k=1):
         """lambda - k*alpha."""
@@ -72,7 +65,7 @@ class Weight:
 
     @classmethod
     def from_json(cls, data):
-        return cls(Fraction(data["h"]), Fraction(data["hbar"]))
+        return cls(data["h"], data["hbar"])
 
     def __str__(self):
         return "(%s, %s)" % (self.h, self.hbar)
@@ -90,7 +83,9 @@ class Character:
     dims: dict
 
     def __post_init__(self):
-        self.dims = {int(d): int(m) for d, m in self.dims.items() if m}
+        self.depth = exact_int(self.depth, "depth")
+        self.dims = {exact_int(d, "depth"): exact_int(m, "dimension")
+                     for d, m in self.dims.items() if m}
 
     def dim_at(self, d):
         return self.dims.get(d, 0)
@@ -109,8 +104,9 @@ class Character:
 
     @classmethod
     def from_json(cls, data):
-        return cls(Weight.from_json(data["top"]), int(data["depth"]),
-                   {int(d): m for d, m in data["dims"].items()})
+        # JSON object keys are strings; __post_init__ makes them ints
+        return cls(Weight.from_json(data["top"]), data["depth"],
+                   {exact_rat(d, "depth"): m for d, m in data["dims"].items()})
 
 
 class TruncatedModule:
@@ -232,6 +228,7 @@ def simple_dims(top, depth):
     """Dimensions per depth of the simple highest-weight module L(top)."""
     if not isinstance(top, Weight):
         top = Weight(*top)
+    depth = exact_int(depth, "depth")
     if top.hbar != 0:
         return [n + 1 for n in range(depth + 1)]
     if top.is_integral_dominant():
@@ -499,7 +496,7 @@ def module_from_json(data):
                     raise ValueError(
                         "%s block at from_depth %d: entry (%d, %d) outside "
                         "its %dx%d shape" % (name, n, r, c, dims[t], dims[n]))
-                mat.rows[r][c] = Fraction(val)
+                mat.rows[r][c] = exact_rat(val, "%s entry value" % name)
             actions[g][n] = mat
     return TruncatedModule(top, depth, dims, actions,
                            complete=bool(data.get("complete", False)))

@@ -131,12 +131,8 @@ def submodule(module, generators):
                 work.append((t, img))
     # canonical bases are the RREF rows; embed as columns
     dims = [spaces[d].dim() for d in range(N + 1)]
-    embedding = {}
-    for d in range(N + 1):
-        cols = spaces[d].basis()
-        embedding[d] = Mat(module.dims[d], dims[d],
-                           [[cols[j][i] for j in range(dims[d])]
-                            for i in range(module.dims[d])])
+    embedding = {d: Mat(dims[d], module.dims[d], spaces[d].basis()).transpose()
+                 for d in range(N + 1)}
     actions = {g: {} for g in GENERATORS}
     for g in GENERATORS:
         for d in range(N + 1):
@@ -152,20 +148,12 @@ def submodule(module, generators):
     return sub
 
 
-def _closure_check(module, sub):
-    for g in GENERATORS:
-        for d in range(module.depth + 1):
-            t = d + DEPTH_SHIFT[g]
-            if sub.dims[d] == 0 or not (0 <= t <= module.depth):
-                continue
-            img = module.act(g, d) * sub.embedding[d]
-            space = RowSpace(module.dims[t])
-            for col in sub.embedding[t].columns():
-                space.add(col)
-            for col in img.columns():
-                if not space.contains(col):
-                    return False
-    return True
+def _column_space(mat):
+    """The RowSpace spanned by the columns of mat."""
+    space = RowSpace(mat.nrows)
+    for col in mat.columns():
+        space.add(col)
+    return space
 
 
 def quotient(module, sub):
@@ -178,17 +166,20 @@ def quotient(module, sub):
     """
     if not hasattr(sub, "embedding"):
         raise ValueError("submodule must carry an embedding (use submodule())")
-    if not _closure_check(module, sub):
-        raise ValueError("not a submodule: images leave the span")
     N = module.depth
+    spaces = [_column_space(sub.embedding[d]) for d in range(N + 1)]
+    for g in GENERATORS:
+        for d in range(N + 1):
+            t = d + DEPTH_SHIFT[g]
+            if sub.dims[d] == 0 or not (0 <= t <= N):
+                continue
+            img = module.act(g, d) * sub.embedding[d]
+            if not all(map(spaces[t].contains, img.columns())):
+                raise ValueError("not a submodule: images leave the span")
     proj, lift, dims = {}, {}, []
     for d in range(N + 1):
         amb = module.dims[d]
-        space = RowSpace(amb)
-        for col in sub.embedding[d].columns():
-            space.add(col)
-        pivots = list(space.pivots)
-        rows = space.basis()
+        pivots, rows = spaces[d].pivots, spaces[d].rows
         kept = [c for c in range(amb) if c not in pivots]
         dims.append(len(kept))
         q = Mat.zeros(len(kept), amb)
@@ -452,15 +443,8 @@ def hasse_diagram(top, depth=None, offsets=None):
         vec[i] = Fraction(1)  # f^(m+1) fbar^i v
         mods["K%d" % m] = ("kernel", d, submodule(delta, [(d, vec)]))
     labels = sorted(mods)
-    spaces = {}
-    for label in labels:
-        sub = mods[label][2]
-        spaces[label] = []
-        for d in range(depth + 1):
-            rs = RowSpace(delta.dims[d])
-            for col in sub.embedding[d].columns():
-                rs.add(col)
-            spaces[label].append(rs)
+    spaces = {label: [_column_space(mods[label][2].embedding[d])
+                      for d in range(depth + 1)] for label in labels}
 
     def leq(a, b):  # a contained in b
         return all(spaces[b][d].contains_space(spaces[a][d])

@@ -178,6 +178,17 @@ def test_element_json_roundtrip():
     assert all(isinstance(t["coef"], str) for t in data["terms"])
 
 
+@pytest.mark.parametrize("term, message", [
+    ({"exp": [0, 0, 1, 0, 0, 0], "coef": 0.1},
+     "coef must be an exact rational .* got 0.1"),
+    ({"exp": [0, 0, 1.5, 0, 0, 0], "coef": "1"},
+     "exp must be an integer, got 1.5"),
+])
+def test_element_from_json_rejects_floats(term, message):
+    with pytest.raises(ValueError, match=message):
+        EnvelopingElement.from_json({"terms": [term]})
+
+
 def test_repr_is_readable():
     assert repr(straighten_word((E, F))) == "h + f*e"
     assert repr(EnvelopingElement()) == "0"

@@ -319,6 +319,15 @@ def test_quiver_rejects_empty_window():
         quiver(Weight(0, 0), lo=2, hi=-2)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lo": -2.0}, "lo must be an integer, got -2.0"),
+    ({"hi": Fraction(3, 2)}, "hi must be an integer"),
+])
+def test_quiver_window_bounds_must_be_integers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        quiver(Weight(0, 0), **kwargs)
+
+
 def test_quiver_dot_labels():
     q = quiver(Weight(Fraction(1, 2), 0), lo=-1, hi=1, category="O")
     dot = q.to_dot()

@@ -24,6 +24,16 @@ def test_rref_small():
     assert rows == [[Fraction(1), Fraction(2)]]
 
 
+def test_integer_row_lists_give_fractions():
+    # 2 / 1 would be the float 2.0: list input is read as exact rationals
+    rows, pivots = rref([[2, 1], [4, 2]])
+    assert rows == [[1, Fraction(1, 2)]] and pivots == [0]
+    assert _entries_are_fractions(rows)
+    assert kernel_basis([[2, 1]]) == [[Fraction(-1, 2), 1]]
+    assert _entries_are_fractions(kernel_basis([[2, 1]]))
+    assert rref([]) == ([], []) and kernel_basis([]) == []
+
+
 def test_rank_and_kernel():
     A = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank(A) == 2
@@ -44,6 +54,16 @@ def test_solve_columns_and_inconsistency():
     assert (A * X) == B
     with pytest.raises(ValueError):
         solve_columns(A, M([[1], [2], [4]]))
+
+
+@pytest.mark.parametrize("a_rows, b_rows, shapes", [
+    ([[1, 0], [0, 1], [1, 1]], [[1], [2]], "A is 3x2 but B is 2x1"),
+    ([[1, 0], [0, 1]], [[1], [2], [3]], "A is 2x2 but B is 3x1"),
+])
+def test_solve_columns_rejects_a_row_count_mismatch(a_rows, b_rows, shapes):
+    # rows must not be paired off silently, dropping the longer side's tail
+    with pytest.raises(ValueError, match=shapes):
+        solve_columns(M(a_rows), M(b_rows))
 
 
 def test_matmul_and_transpose():
@@ -443,3 +463,51 @@ def test_dense_kernel_matches_naive_reference():
             assert _entries_are_fractions(rs.rows)
             assert not _shares_a_row(rs.rows, a_rows, b_rows)
         assert A.rows == snapshot
+
+
+def test_kernel_and_solve_match_naive_reference():
+    # kernel_basis and solve_columns read the RREF that RowSpace builds;
+    # check both against the naive Gauss-Jordan on random shapes, including
+    # empty and rank-deficient ones
+    rng = random.Random(606)
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 1), (2, 3, 0), (4, 4, 4)] + [
+        (rng.randrange(0, 8), rng.randrange(0, 8), rng.randrange(0, 4))
+        for _ in range(60)]
+    for m, n, p in shapes:
+        if m and n and rng.random() < 0.5:
+            a_rows = _rank_deficient_rows(rng, m, n, rng.randrange(0, n + 1))
+        else:
+            a_rows = _sparse_fraction_rows(rng, m, n)
+        A = Mat(m, n, a_rows)
+        ref_rows, ref_pivots = _naive_rref(a_rows, n)
+        free = [c for c in range(n) if c not in ref_pivots]
+
+        ker = kernel_basis(A)
+        assert len(ker) == len(free) == n - rank(A)
+        for v, f in zip(ker, free):
+            assert [v[c] for c in free] == [int(c == f) for c in free]
+            assert A.matvec(v) == [0] * m
+            assert _entries_are_fractions([v])
+
+        # a consistent right-hand side: B = A X0 for a random X0
+        X0 = Mat(n, p, _sparse_fraction_rows(rng, n, p))
+        B = A * X0
+        X = solve_columns(A, B)
+        assert (X.nrows, X.ncols) == (n, p)
+        assert A * X == B
+        assert all(X.rows[c] == [0] * p for c in free)
+        # X is read off the reduced augmented system, pivot by pivot
+        aug_rows, aug_pivots = _naive_rref(
+            [a + b for a, b in zip(a_rows, B.rows)], n + p)
+        assert aug_pivots == ref_pivots
+        for row, c in zip(aug_rows, aug_pivots):
+            assert X.rows[c] == row[n:]
+
+        # an inconsistent one: a column outside A's column space
+        if len(ref_pivots) < m and p:
+            col_pivots = _naive_rref([list(c) for c in zip(*a_rows)], m)[1]
+            e = next(i for i in range(m) if i not in col_pivots)
+            bad = B.copy()
+            bad.rows[e][0] += 1
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_columns(A, bad)

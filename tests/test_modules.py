@@ -156,6 +156,12 @@ def test_simple_dims_helper():
     assert simple_dims(Weight(0, 1), 3) == [1, 2, 3, 4]
 
 
+def test_simple_dims_depth_is_an_exact_integer():
+    assert simple_dims(Weight(1, 0), Fraction(2)) == [1, 1, 0]
+    with pytest.raises(ValueError, match="depth must be an integer, got 2.5"):
+        simple_dims(Weight(1, 0), 2.5)
+
+
 # ---------------------------------------------------------------------------
 # relations: the checker accepts the real thing and rejects a tampered copy
 
@@ -286,8 +292,63 @@ def test_weight_and_character_helpers():
 
 
 def test_float_weights_rejected():
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(ValueError, match="h must be an exact rational"):
         Weight(0.5, 0)
+
+
+@pytest.mark.parametrize("depth, dims, message", [
+    (3, {0: 1.5, 1: 2}, "dimension must be an integer, got 1.5"),
+    (2.7, {0: 1}, "depth must be an integer, got 2.7"),
+    (3, {0.5: 1}, "depth must be an integer, got 0.5"),
+])
+def test_character_rejects_non_integers(depth, dims, message):
+    # int() would truncate these to 1, 2 and 0
+    with pytest.raises(ValueError, match=message):
+        Character(Weight(1, 0), depth, dims)
+
+
+def test_character_accepts_integral_fractions():
+    ch = Character(Weight(1, 0), Fraction(3), {Fraction(1): Fraction(2)})
+    assert ch.depth == 3 and ch.dims == {1: 2}
+    assert type(ch.depth) is int and all(type(x) is int for x in
+                                          [*ch.dims, *ch.dims.values()])
+
+
+def _character_json(**changes):
+    data = {"top": {"h": "1", "hbar": "0"}, "depth": 3,
+            "dims": {"0": 1, "1": 2}}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_character_json(depth=2.7), "depth must be an integer, got 2.7"),
+    (_character_json(dims={"0": 1.5}), "dimension must be an integer, "
+                                       "got 1.5"),
+    (_character_json(dims={"1.5": 1}), "depth must be an integer"),
+    (_character_json(top={"h": 0.1, "hbar": "0"}),
+     "h must be an exact rational"),
+])
+def test_character_from_json_rejects_floats_and_non_integers(data, message):
+    with pytest.raises(ValueError, match=message):
+        Character.from_json(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"h": 0.1, "hbar": "0"}, "h must be an exact rational .* got 0.1"),
+    ({"h": "1", "hbar": 0.5}, "hbar must be an exact rational .* got 0.5"),
+    ({"h": "1", "hbar": "one"}, "hbar must be an exact rational"),
+    ({"h": None, "hbar": "0"}, "h must be an exact rational"),
+])
+def test_weight_from_json_rejects_floats(data, message):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match=message):
+        Weight.from_json(data)
+
+
+def test_weight_from_json_reads_exact_numbers():
+    assert Weight.from_json({"h": "-3/4", "hbar": 2}) == \
+        Weight(Fraction(-3, 4), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +392,11 @@ def _corrupt_verma_json(edit):
     (lambda d: d.update(depth=2.5), "depth must be an integer, got 2.5"),
     (lambda d: d["dims"].__setitem__(1, 2.5),
      "slice dimension must be an integer, got 2.5"),
+    # entries and weights are exact: a JSON float is refused
+    (lambda d: d["actions"]["h"][1]["entries"].append([0, 0, 0.1]),
+     "h entry value must be an exact rational .* got 0.1"),
+    (lambda d: d["top"].update(hbar=0.5),
+     "hbar must be an exact rational .* got 0.5"),
 ])
 def test_module_from_json_rejects_inconsistent_blocks(edit, message):
     with pytest.raises(ValueError, match=message):

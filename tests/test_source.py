@@ -1,11 +1,16 @@
 """Source-level guards on the package itself."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "takiff").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "takiff").glob("*.py"))
+# run_path compiles the file from source and writes no bytecode next to it
+TRACER = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
 
 
 def test_sources_found():
@@ -20,3 +25,23 @@ def test_no_assert_in_package(path):
              if isinstance(node, ast.Assert)]
     assert lines == [], "%s has assert statements at lines %s" % (path.name,
                                                                  lines)
+
+
+@pytest.mark.parametrize("span, sites", TRACER["FUNCTIONS"],
+                         ids=[name for name, _ in TRACER["FUNCTIONS"]])
+def test_tracer_function_sites_resolve(span, sites):
+    # the benchmark tracer wraps each name where its callers look it up; a
+    # refactor that drops one of these bindings breaks traced runs
+    for module, attr in sites:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), "%s: %s.%s is gone" % (span, module, attr)
+
+
+@pytest.mark.parametrize("span, cls_path, method", TRACER["METHODS"],
+                         ids=[name for name, _, _ in TRACER["METHODS"]])
+def test_tracer_method_sites_resolve(span, cls_path, method):
+    module, _, cls = cls_path.rpartition(".")
+    owner = getattr(importlib.import_module(module), cls, None)
+    assert isinstance(owner, type), "%s: class %s is gone" % (span, cls_path)
+    assert callable(vars(owner).get(method)), \
+        "%s: %s.%s is gone" % (span, cls_path, method)

@@ -1,14 +1,17 @@
 """Singular vectors, submodules and quotients, multiplicity peeling, the
 uniserial quotients, and submodule diagrams."""
 
+import random
 from fractions import Fraction
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 
-from takiff.algebra import E, EBAR, F, FBAR, GENERATORS
-from takiff.modules import (Weight, character, check_relations, dualize,
-                            simple_dims, verma)
+from takiff.algebra import DEPTH_SHIFT, E, EBAR, F, FBAR, GENERATORS
+from takiff.linalg import Mat, solve_columns
+from takiff.modules import (TruncatedModule, Weight, character,
+                            check_relations, dualize, simple_dims, verma)
 from takiff.structure import (cosingular_dim, hasse_diagram, mn_filtration,
                               multiplicities, project_vector, quotient,
                               singular_vectors, submodule)
@@ -119,6 +122,64 @@ def test_quotient_dimensions_and_exactness():
         for c in range(emb.ncols):
             img = project_vector(q, d, emb.column(c))
             assert all(x == 0 for x in img)
+
+
+def _invertible(rng, k):
+    """A random invertible k x k matrix: lower unitriangular times a nonzero
+    diagonal times upper unitriangular."""
+    def entry():
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+    lower = Mat.identity(k)
+    upper = Mat.identity(k)
+    diag = Mat.identity(k)
+    for i in range(k):
+        diag.rows[i][i] = Fraction(rng.choice([-3, -1, 2, 5]),
+                                   rng.randrange(1, 4))
+        for j in range(i):
+            lower.rows[i][j] = entry()
+            upper.rows[j][i] = entry()
+    return lower * diag * upper
+
+
+def _twisted(module, rng):
+    """The module in a random basis of each slice: acts by
+    T[t]^-1 * act(g, d) * T[d].  In a Verma's PBW basis the submodules used
+    below are spans of basis vectors, where mixing embedding columns cannot
+    change the projection; in a random basis they are not."""
+    T = [_invertible(rng, n) for n in module.dims]
+    T_inv = [solve_columns(t, Mat.identity(t.nrows)) for t in T]
+    actions = {g: {} for g in GENERATORS}
+    for g in GENERATORS:
+        for d in range(module.depth + 1):
+            t = d + DEPTH_SHIFT[g]
+            if module.dims[d] and 0 <= t <= module.depth:
+                actions[g][d] = T_inv[t] * module.act(g, d) * T[d]
+    return TruncatedModule(module.top, module.depth, module.dims, actions), \
+        T_inv
+
+
+@pytest.mark.parametrize("top, gens", [
+    (Weight(2, 0), [(3, [1, 0, 0, 0])]),                  # f^3 v
+    (Weight(4, 0), [(2, [0, 0, 1])]),                     # fbar^2 v
+    (Weight(3, 0), [(1, [0, 1]), (4, [1, 0, 0, 0, 0])]),  # fbar v, f^4 v
+    (Weight(Fraction(1, 2), 0), [(1, [0, 1])]),
+])
+def test_quotient_does_not_depend_on_the_embedding_basis(top, gens):
+    # quotient() reduces each embedding to its canonical column space, so a
+    # basis with rescaled and mixed columns gives the same quotient
+    rng = random.Random(17)
+    m, T_inv = _twisted(verma(top, 6), rng)
+    assert check_relations(m).passed
+    s = submodule(m, [(d, T_inv[d].matvec(_frac(v))) for d, v in gens])
+    mixed = SimpleNamespace(
+        dims=s.dims,
+        embedding={d: emb * _invertible(rng, emb.ncols)
+                   for d, emb in s.embedding.items()})
+    assert any(mixed.embedding[d] != s.embedding[d] for d in s.embedding)
+    want, got = quotient(m, s), quotient(m, mixed)
+    assert got == want
+    assert got.projection == want.projection
+    assert check_relations(got).passed
 
 
 def test_quotient_rejects_non_submodule():
