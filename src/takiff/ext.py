@@ -30,6 +30,15 @@ once, and representatives come from the deepest of the three.  The starting
 window is sized past both modules' supports and slides upward (to the cap
 given by the environment variable TAKIFF_DEPTH_CAP, default 40) if not yet
 flat.
+
+The unknowns are laid out in blocks, one per (source depth, generator), in
+one of two depth orders.  A solve that draws representatives lays them out
+top depth first: the column order decides which unknowns are free, so it
+decides the kernel basis and with it the representatives (and the golden
+cocycle files).  A solve that reads only ranks, that is ext1 and
+stabilize_ext without cocycles, lays them out deepest depth first.  Ranks
+do not depend on the order, and eliminating the deep, wide slices first
+leaves far less fill-in (measurements in BENCH_colorder.json).
 """
 
 import os
@@ -114,8 +123,9 @@ class ExtResult:
     note: str = ""
     dims_v: list = field(default_factory=list)    # coset-graded dimensions
     dims_w: list = field(default_factory=list)
-    # (cocycle system, coboundary system, unknown blocks) of this window,
-    # eliminated, until _add_representatives draws the cocycles from them
+    # (cocycle system, coboundary system, unknown blocks) of a window solved
+    # in the cocycle layout, eliminated, until _add_representatives draws
+    # the cocycles from them
     _solved: tuple = field(default=None, init=False, repr=False,
                            compare=False)
 
@@ -216,12 +226,17 @@ def _prepare(lam, mu, category):
                               note=note)
 
 
-def ext1(lam, mu, category="O", window=None, with_cocycles=True):
+def ext1(lam, mu, category="O", window=None, with_cocycles=True, *,
+         _defer_cocycles=False):
     """dim Ext^1(L(lam), L(mu)) at one window depth, with representative
     cocycles.  Categories: "O" (strict) or "Otilde" (relaxed).
 
     The result of a single window is only meaningful once the dimension is
     flat across consecutive windows; use stabilize_ext for the final answer.
+    Without cocycles the window is solved in the faster rank-only layout
+    (see the module docstring).  stabilize_ext passes _defer_cocycles to
+    solve a window in the cocycle layout but draw its representatives only
+    once it is known to be the final window.
     """
     if window is not None:
         window = exact_int(window, "window")
@@ -233,33 +248,44 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     if N < max(offv, offw) + 2:
         raise ValueError("window %d too small for offsets (%d, %d)"
                          % (N, offv, offw))
-    result = _solve_window(lam, mu, category, N)
-    if with_cocycles:
+    result = _solve_window(lam, mu, category, N, with_cocycles)
+    if with_cocycles and not _defer_cocycles:
         _add_representatives(result)
     return result
 
 
-def _factor_terms(mat, n, scale):
+def _factor_terms(mat, n, scale, memo):
     """The nonzeros (row, column, scale * value) of mat, or of the n x n
-    identity when mat is None."""
-    if mat is None:
-        return [(k, k, scale) for k in range(n)]
-    return [(r, c, a if scale == 1 else scale * a)
-            for r, row in enumerate(mat.rows) for c, a in enumerate(row) if a]
+    identity when mat is None, listed once per memo dict.  The memo also
+    keeps mat referenced, so that no other matrix can take its id."""
+    key = (id(mat), n, scale)
+    hit = memo.get(key)
+    if hit is None:
+        if mat is None:
+            terms = [(k, k, scale) for k in range(n)]
+        else:
+            terms = [(r, c, a if scale == 1 else scale * a)
+                     for r, row in enumerate(mat.rows)
+                     for c, a in enumerate(row) if a]
+        hit = memo[key] = (mat, terms)
+    return hit[1]
 
 
-def _add_product(rows, width, blk, left, right, sign):
+def _add_product(rows, width, blk, left, right, sign, memo=None):
     """Add the nonzeros of sign * left . X . right into the equation rows,
     where X is the unknown block blk = (offset, nrows, ncols), stored row
     major, and entry (r, c) of the product is equation rows[r * width + c].
-    A None factor is the identity; a None block is identically zero."""
+    A None factor is the identity; a None block is identically zero.
+    Calls that share a memo dict list each factor's nonzeros once."""
     if blk is None:
         return
     off, nr, nc = blk
+    if memo is None:
+        memo = {}
     # the sign rides on a factor that is not the identity, so only the
     # product of two given factors multiplies per equation entry
-    lterms = _factor_terms(left, nr, sign if right is None else 1)
-    rterms = _factor_terms(right, nc, 1 if right is None else sign)
+    lterms = _factor_terms(left, nr, sign if right is None else 1, memo)
+    rterms = _factor_terms(right, nc, 1 if right is None else sign, memo)
     for r, i, a in lterms:
         for j, c, b in rterms:
             coef = a if right is None else b if left is None else a * b
@@ -269,23 +295,31 @@ def _add_product(rows, width, blk, left, right, sign):
             row[idx] = row[idx] + coef if idx in row else coef
 
 
-def _solve_window(lam, mu, category, N):
+def _solve_window(lam, mu, category, N, top_first):
     """Assemble and eliminate the cocycle and coboundary systems of window
-    N (same block, N validated); the result carries the eliminated systems
-    so representatives can be drawn later without solving again."""
+    N (same block, N validated).  top_first picks the layout that
+    representatives are drawn in, and then the result carries the
+    eliminated systems so they can be drawn later without solving again;
+    otherwise the layout is the rank-only one and the systems are dropped."""
     dv, av, dw, aw = _pair_on_coset(lam, mu, N)
     gens_used = tuple(g for g in GENERATORS if not (category == "O" and g == H))
 
-    # unknown layout: one block of scalars per (source depth, generator);
-    # depth-major order keeps elimination fill inside the depth band
+    # unknown layout: one block of scalars per (source depth, generator),
+    # depth-major.  Eliminating the deepest blocks first keeps fill-in low,
+    # but the column order fixes the kernel basis, so representatives need
+    # the top-first order their golden files were drawn in.
     blocks = {}
     nunk = 0
-    for d in range(N + 1):
+    for d in (range(N + 1) if top_first else range(N, -1, -1)):
         for g in gens_used:
             t = d + DEPTH_SHIFT[g]
             if dv[d] and 0 <= t <= N and dw[t]:
                 blocks[(g, d)] = (nunk, dw[t], dv[d])
                 nunk += dw[t] * dv[d]
+
+    # each action block is met by many equations: list its nonzeros once
+    # per sign
+    memo = {}
 
     # cocycle condition on each pair and depth, as maps V_d -> W_t;
     # phi blocks outside the unknown set are identically zero, and the
@@ -301,16 +335,16 @@ def _solve_window(lam, mu, category, N):
                 continue
             rows = [{} for _ in range(dw[t] * dv[d])]
             _add_product(rows, dv[d], blocks.get((b, d)),
-                         aw[a].get(d + sb), None, 1)
+                         aw[a].get(d + sb), None, 1, memo)
             _add_product(rows, dv[d], blocks.get((b, d + sa)),
-                         None, av[a].get(d), -1)
+                         None, av[a].get(d), -1, memo)
             _add_product(rows, dv[d], blocks.get((a, d + sb)),
-                         None, av[b].get(d), 1)
+                         None, av[b].get(d), 1, memo)
             _add_product(rows, dv[d], blocks.get((a, d)),
-                         aw[b].get(d + sa), None, -1)
+                         aw[b].get(d + sa), None, -1, memo)
             for g, coef in _BRACKET[(a, b)]:
                 _add_product(rows, dv[d], blocks.get((g, d)), None, None,
-                             -coef)
+                             -coef, memo)
             for row in rows:
                 system.add_row(row)
     dim_z = nunk - system.rank()
@@ -338,7 +372,8 @@ def _solve_window(lam, mu, category, N):
     result = ExtResult(lam, mu, category, N, dim,
                        depths_checked=[N], dim_sequence=[dim],
                        dims_v=dv, dims_w=dw)
-    result._solved = (system, bsys, blocks)
+    if top_first:
+        result._solved = (system, bsys, blocks)
     return result
 
 
@@ -400,14 +435,13 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
         for M in (N, N + 1, N + 2):
             if M not in results:
                 results[M] = ext1(lam, mu, category, window=M,
-                                  with_cocycles=False)
+                                  with_cocycles=with_cocycles,
+                                  _defer_cocycles=True)
         seq = [results[M].dim for M in (N, N + 1, N + 2)]
         if seq[0] == seq[1] == seq[2]:
             final = results[N + 2]
             if with_cocycles:
                 _add_representatives(final)
-            else:
-                final._solved = None
             final.stabilized = True
             final.depths_checked = [N, N + 1, N + 2]
             final.dim_sequence = seq

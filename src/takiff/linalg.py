@@ -4,8 +4,9 @@ Everything here works on fractions.Fraction entries.  Every entry of a Mat
 is a Fraction, never an int: the public Mat constructor coerces what it is
 given, and the results of Mat operations are built from Fractions already,
 so they are adopted without coercion.  No result shares a row list with an
-operand, so callers may write into ``mat.rows[r][c]``.  Given Fractions,
-rref, RowSpace and SparseSystem return Fractions too.
+operand, so callers may write into ``mat.rows[r][c]``.  RowSpace and
+SparseSystem.add_row convert entries that are not Fractions the same way,
+so the rows they keep are Fractions whatever they are given.
 
 The dense kernel skips zeros: sums, differences, scalar and matrix products,
 matvec, rref and RowSpace perform Fraction arithmetic only where both
@@ -291,7 +292,9 @@ class RowSpace:
         self.pivots = []   # pivot column of each row
 
     def _reduce(self, vec):
-        v = list(vec)
+        # an int pivot would divide to a float, and float input would
+        # reduce inexactly
+        v = [x if type(x) is Fraction else Fraction(x) for x in vec]
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:

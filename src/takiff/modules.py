@@ -229,6 +229,8 @@ def simple_dims(top, depth):
     if not isinstance(top, Weight):
         top = Weight(*top)
     depth = exact_int(depth, "depth")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if top.hbar != 0:
         return [n + 1 for n in range(depth + 1)]
     if top.is_integral_dominant():
@@ -251,13 +253,11 @@ def simple_module(top, depth):
     if not isinstance(top, Weight):
         top = Weight(*top)
     depth = exact_int(depth, "depth")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    dims = simple_dims(top, depth)  # raises for a negative depth
     if top.hbar != 0:
         m = verma(top, depth)
         m.label = "simple"
         return m
-    dims = simple_dims(top, depth)
     actions = {g: {} for g in GENERATORS}
     if top.is_integral_dominant():
         n = int(top.h)

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from takiff import ext as ext_mod
 from takiff.algebra import GEN_NAMES, H, HBAR
@@ -118,14 +120,17 @@ def test_stabilize_solves_each_window_once(monkeypatch, with_cocycles):
     solved = []
     solve = ext_mod._solve_window
 
-    def counting_solve(lam, mu, category, N):
-        solved.append(N)
-        return solve(lam, mu, category, N)
+    def counting_solve(lam, mu, category, N, top_first):
+        solved.append((N, top_first))
+        return solve(lam, mu, category, N, top_first)
 
     monkeypatch.setattr(ext_mod, "_solve_window", counting_solve)
     lam = Weight(3, 1)
     r = stabilize_ext(lam, lam, "O", with_cocycles=with_cocycles)
-    assert solved == [3, 4, 5]
+    # any window may turn out to be the final one, so with cocycles every
+    # window is laid out top first; without them, deepest first
+    assert solved == [(3, with_cocycles), (4, with_cocycles),
+                      (5, with_cocycles)]
     golden = json.loads(GOLDEN_COCYCLES.read_text())
     assert (r.dim, r.depths_checked, r.dim_sequence) == \
         (golden["dim"], golden["depths_checked"], golden["dim_sequence"])
@@ -172,6 +177,61 @@ def test_ext_table_spot_checks():
 
 
 # ---------------------------------------------------------------------------
+# the two unknown layouts: ranks do not depend on the column order
+
+def _window_ranks(lam, mu, cat, N, top_first):
+    """(dim, [cocycle rank, coboundary rank]) of one window in one layout."""
+    ranks = []
+    rank = SparseSystem.rank
+
+    def recording_rank(system):
+        ranks.append(rank(system))
+        return ranks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparseSystem, "rank", recording_rank)
+        r = ext_mod._solve_window(lam, mu, cat, N, top_first)
+    return r.dim, ranks
+
+
+def _assert_layouts_agree(lam, mu, cat, window):
+    offv, offw = ext_mod._coset_layout(lam, mu)
+    N = max(window, offv + 2, offw + 2)
+    top = _window_ranks(lam, mu, cat, N, True)
+    assert _window_ranks(lam, mu, cat, N, False) == top, (lam, mu, cat, N)
+    assert len(top[1]) == 2
+
+
+_COSETS = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                           Fraction(-2, 3), Fraction(5, 3)])
+_CATS = st.sampled_from(["O", "Otilde"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COSETS, st.integers(-2, 1), st.integers(-2, 1), _CATS,
+       st.integers(3, 6))
+def test_layouts_agree_on_coset_pairs(rep, m1, m2, cat, window):
+    _assert_layouts_agree(Weight(rep + 2 * m1, 0), Weight(rep + 2 * m2, 0),
+                          cat, window)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_RATIONALS, _RATIONALS.filter(bool), _CATS, st.integers(3, 6))
+def test_layouts_agree_on_nondegenerate_weights(h, hbar, cat, window):
+    lam = Weight(h, hbar)
+    _assert_layouts_agree(lam, lam, cat, window)
+
+
+@pytest.mark.parametrize("cat, want", [("O", 1), ("Otilde", 2)])
+def test_deep_window_rank_only_solve(cat, want):
+    lam = Weight(3, 1)
+    assert ext1(lam, lam, cat, window=10, with_cocycles=False).dim == want
+
+
+# ---------------------------------------------------------------------------
 # the Kronecker assembler: rows of sign * L . X . R in the unknowns of X
 
 def _random_mat(rng, nrows, ncols):
@@ -200,6 +260,11 @@ def test_add_product_matches_mat_products(seed, left_id, right_id):
     rows = [{} for _ in range(p * q)]
     ext_mod._add_product(rows, q, (off, nr, nc), left, right, sign)
     ext_mod._add_product(rows, q, None, left, right, sign)  # zero block
+    memo = {}
+    for _ in range(2):  # the second pass reads both factors from the memo
+        again = [{} for _ in range(p * q)]
+        ext_mod._add_product(again, q, (off, nr, nc), left, right, sign, memo)
+        assert again == rows
 
     want = X if left is None else left * X
     want = want if right is None else want * right

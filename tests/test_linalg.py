@@ -128,6 +128,15 @@ def test_rowspace_add_reports_growth():
     assert not rs.add([Fraction(2), Fraction(2)])
 
 
+def test_rowspace_keeps_int_and_float_input_exact():
+    rs = RowSpace(3)
+    assert rs.add([2, 1, 0])
+    assert rs.add([0.0, 0.5, 1.5])
+    assert rs.basis() == [[1, 0, Fraction(-3, 2)], [0, 1, 3]]
+    assert all(type(x) is Fraction for row in rs.rows for x in row)
+    assert rs.contains([4, 2.5, 1.5]) and not rs.contains([0, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # sparse vs dense agreement on random systems
 

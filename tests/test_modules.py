@@ -162,6 +162,14 @@ def test_simple_dims_depth_is_an_exact_integer():
         simple_dims(Weight(1, 0), 2.5)
 
 
+@pytest.mark.parametrize("build", [simple_dims, simple_module])
+@pytest.mark.parametrize("top", [Weight(1, 0), Weight(Fraction(1, 2), 0),
+                                 Weight(0, 1)])
+def test_negative_depth_is_rejected(build, top):
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build(top, -1)
+
+
 # ---------------------------------------------------------------------------
 # relations: the checker accepts the real thing and rejects a tampered copy
 
