@@ -10,7 +10,12 @@ i+j >= 2, so barred generators commute among themselves and
     [h, ebar] = [hbar, e] = 2 ebar
     [h, fbar] = [hbar, f] = -2 fbar
 
-All scalars are exact rationals (fractions.Fraction); no floats anywhere.
+All scalars are exact rationals and no floats appear anywhere.  Every public
+result carries fractions.Fraction coefficients.  Inside, the straightening
+kernel works in Python ints: the structure constants are the integers 0, +-1
+and +-2, so the normal form of a word is an integer combination of sorted
+words, and straighten_word multiplies by its rational coefficient only once,
+where it builds the result.
 
 PBW conventions
 ---------------
@@ -180,39 +185,51 @@ def word_bar_degree(word):
 def _gen_times_word(g, word):
     """Normal form of g * word, where word is already PBW-sorted.
 
-    Returns a tuple of (sorted_word, Fraction) pairs.  Closed recursion: the
-    bracket [g, x] with x = word[0] < g only involves generators >= x, and the
+    Returns a tuple of (sorted_word, int) pairs: the structure constants are
+    integers, so the coefficients are too.  Closed recursion: the bracket
+    [g, x] with x = word[0] < g only involves generators >= x, and the
     recursive results are prepended with letters <= their first letter.
     """
     if not word or g <= word[0]:
-        return (((g,) + word, Fraction(1)),)
+        return (((g,) + word, 1),)
     x, rest = word[0], word[1:]
     acc = {}
     for w, c in _gen_times_word(g, rest):
         # x <= every letter of w by induction, so prepending keeps it sorted
         key = (x,) + w
-        acc[key] = acc.get(key, Fraction(0)) + c
+        acc[key] = acc.get(key, 0) + c
     for gb, cb in _BRACKET[(g, x)]:
         for w, c in _gen_times_word(gb, rest):
-            acc[w] = acc.get(w, Fraction(0)) + cb * c
-    return tuple(sorted((w, c) for w, c in acc.items() if c != 0))
+            acc[w] = acc.get(w, 0) + cb * c
+    return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
 def straighten_word(word, coefficient=Fraction(1)):
-    """PBW normal form of a single word (tuple of generator ids).
+    """PBW normal form of a single word (tuple of generator ids), times
+    ``coefficient``.  The word is straightened over the integers and scaled
+    by the coefficient once at the end, so every coefficient of the result
+    is a Fraction.
 
     >>> sorted(straighten_word((E, FBAR, FBAR)).items())
     [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
     """
-    terms = {(): Fraction(coefficient)}
+    terms = {(): 1}
     for g in reversed(tuple(word)):
         nxt = {}
         for w, c in terms.items():
             for w2, c2 in _gen_times_word(g, w):
-                nxt[w2] = nxt.get(w2, Fraction(0)) + c * c2
-        terms = {w: c for w, c in nxt.items() if c != 0}
-    return EnvelopingElement(
-        {word_to_exponents(w): c for w, c in terms.items()})
+                nxt[w2] = nxt.get(w2, 0) + c * c2
+        terms = {w: c for w, c in nxt.items() if c}
+    coefficient = Fraction(coefficient)
+    out = EnvelopingElement()
+    if coefficient == 1:
+        # dict.update adopts the nonzero Fractions without coercing again
+        out.update((word_to_exponents(w), Fraction(c))
+                   for w, c in terms.items())
+    elif coefficient:
+        out.update((word_to_exponents(w), coefficient * c)
+                   for w, c in terms.items())
+    return out
 
 
 def straighten(expr):

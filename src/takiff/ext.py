@@ -380,14 +380,15 @@ def _solve_window(lam, mu, category, N, top_first):
 def _add_representatives(result):
     """Fill result.cocycles from its window's eliminated systems: the
     kernel basis reduced modulo the coboundary space, first dim independent
-    ones.  Releases the systems."""
+    ones.  Kernel vectors are built one at a time and drawing stops at the
+    dim-th representative.  Releases the systems."""
     system, bsys, blocks = result._solved
     result._solved = None
     if result.dim == 0:
         return
     reps = []
     seen = RowSpace(system.ncols)
-    for v in system.nullspace_basis():
+    for v in system.kernel_vectors():
         v = bsys.reduce_vector(v)
         if any(v) and seen.add(v):
             reps.append(v)

@@ -1,12 +1,13 @@
 """Dense and sparse exact linear algebra over the rationals.
 
-Everything here works on fractions.Fraction entries.  Every entry of a Mat
-is a Fraction, never an int: the public Mat constructor coerces what it is
-given, and the results of Mat operations are built from Fractions already,
-so they are adopted without coercion.  No result shares a row list with an
-operand, so callers may write into ``mat.rows[r][c]``.  RowSpace and
-SparseSystem.add_row convert entries that are not Fractions the same way,
-so the rows they keep are Fractions whatever they are given.
+Everything here but integer_product_sum works on fractions.Fraction
+entries.  Every entry of a Mat is a Fraction, never an int: the public Mat
+constructor coerces what it is given, and the results of Mat operations
+are built from Fractions already, so they are adopted without coercion.
+No result shares a row list with an operand, so callers may write into
+``mat.rows[r][c]``.  RowSpace and SparseSystem.add_row convert entries
+that are not Fractions the same way, so the rows they keep are Fractions
+whatever they are given.
 
 The dense kernel skips zeros: sums, differences, scalar and matrix products,
 matvec, rref and RowSpace perform Fraction arithmetic only where both
@@ -14,6 +15,10 @@ operands are nonzero, and an untouched zero stays the zero it was.  The
 modules here are sparse (a depth-20 Verma's action blocks are about 10 %
 nonzero), so this removes most of the arithmetic without changing a single
 result.
+
+integer_product_sum is the one integer kernel here: sums of products of
+integer matrices in sparse row form, which check_relations runs on once it
+has cleared a module's denominators.
 
 There are two elimination engines, one per job:
 
@@ -208,6 +213,28 @@ class Mat:
             return "Mat(%d, %d)" % (self.nrows, self.ncols)
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return "Mat[%s]" % body
+
+
+def integer_product_sum(nrows, ncols, terms):
+    """The nrows x ncols dense integer rows of the sum of
+    scale * left . right over the (scale, left, right) terms.
+
+    left and right are integer matrices in sparse row form, one list of
+    (column, value) nonzeros per row, and right None stands for the
+    identity.  A left factor of () contributes nothing.  Only products of
+    two nonzeros are formed, and all arithmetic is on Python ints.
+    """
+    out = [[0] * ncols for _ in range(nrows)]
+    for scale, left, right in terms:
+        for orow, lrow in zip(out, left):
+            for k, a in lrow:
+                a *= scale
+                if right is None:
+                    orow[k] += a
+                else:
+                    for j, b in right[k]:
+                        orow[j] += a * b
+    return out
 
 
 def _as_mat(mat):
@@ -476,12 +503,12 @@ class SparseSystem:
                     v[c] -= factor * val
         return v
 
-    def nullspace_basis(self):
-        """Kernel basis, one dense vector per free column, obtained by
-        back-substitution through the echelon rows in reverse pivot order."""
+    def kernel_vectors(self):
+        """The kernel basis of nullspace_basis, one dense vector per free
+        column in increasing column order, yielded one at a time so that a
+        caller who needs only the first few builds only those."""
         self.eliminate()
         pivot_cols = sorted(self.pivot_of_col)
-        basis = []
         for free in range(self.ncols):
             if free in self.pivot_of_col:
                 continue
@@ -497,5 +524,9 @@ class SparseSystem:
             dense = [_ZERO] * self.ncols
             for c, val in v.items():
                 dense[c] = val
-            basis.append(dense)
-        return basis
+            yield dense
+
+    def nullspace_basis(self):
+        """Kernel basis, one dense vector per free column, obtained by
+        back-substitution through the echelon rows in reverse pivot order."""
+        return list(self.kernel_vectors())

@@ -26,11 +26,12 @@ is simple iff lambda(hbar) != 0.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       GEN_BY_NAME, DEPTH_SHIFT, _BRACKET, _PAIRS,
                       exact_int, exact_rat, straighten_word)
-from .linalg import Mat
+from .linalg import Mat, integer_product_sum
 
 __all__ = [
     "Weight", "ALPHA", "Character", "TruncatedModule",
@@ -325,6 +326,10 @@ def dualize(module):
 # ---------------------------------------------------------------------------
 # relation checking
 
+# the entry types check_relations takes as exact without a closer look
+_EXACT_TYPES = frozenset((Fraction, int))
+
+
 @dataclass
 class RelationReport:
     passed: bool
@@ -336,6 +341,54 @@ class RelationReport:
         return self.passed
 
 
+def _integer_blocks(module):
+    """(D, acts): D, the least common denominator of the entries of the
+    module's action blocks, and acts[g][n + 1] = D * act(g, n) for n in
+    -1..depth+1, as integer rows in the sparse row form of
+    linalg.integer_product_sum; a block whose source slice lies outside the
+    window is ().  Raises ValueError for a block whose shape is not
+    (dims[n + shift], dims[n]) and for an entry that is not an int or a
+    Fraction."""
+    N, dims = module.depth, module.dims
+    dens = {1}
+    stored = []  # (acts[g], n + 1, rows of (column, rational) nonzeros)
+    acts = {}
+    for g in GENERATORS:
+        given = module.actions.get(g, {})
+        col = acts[g] = [()] * (N + 3)
+        for n in range(N + 1):
+            t = n + DEPTH_SHIFT[g]
+            want = (dims[t] if 0 <= t <= N else 0, dims[n])
+            blk = given.get(n)
+            if blk is None:
+                col[n + 1] = [()] * want[0]
+                continue
+            shape = ((blk.nrows, blk.ncols) if isinstance(blk, Mat)
+                     else None)
+            if shape != want or len(blk.rows) != want[0] \
+                    or any(len(r) != want[1] for r in blk.rows):
+                raise ValueError(
+                    "%s block at depth %d is %s, expected %dx%d"
+                    % (GEN_NAMES[g], n,
+                       "%dx%d" % shape if shape else type(blk).__name__,
+                       want[0], want[1]))
+            for r in blk.rows:
+                if not _EXACT_TYPES.issuperset(map(type, r)):
+                    bad = [x for x in r if not isinstance(x, (int, Fraction))]
+                    if bad:
+                        raise ValueError(
+                            "%s block at depth %d has a non-exact entry %r"
+                            % (GEN_NAMES[g], n, bad[0]))
+            rows = [[(j, x) for j, x in enumerate(r) if x] for r in blk.rows]
+            dens.update(x.denominator for nz in rows for _, x in nz)
+            stored.append((col, n + 1, rows))
+    den = lcm(*dens)
+    for col, i, rows in stored:
+        col[i] = [[(j, x.numerator * (den // x.denominator)) for j, x in nz]
+                  for nz in rows]
+    return den, acts
+
+
 def check_relations(module):
     """Verify rho(x)rho(y) - rho(y)rho(x) = rho([x,y]) on every depth slice.
 
@@ -343,25 +396,41 @@ def check_relations(module):
     path visits a slice beyond the window cannot be checked and is skipped
     (and counted); for complete modules everything is checked, since slices
     beyond the window are genuinely zero.
+
+    The check runs on integers and is still exact.  With D the least common
+    denominator of all the action entries, every block A is N_A / D for an
+    integer matrix N_A.  Multiplying a relation by the nonzero scalar D^2
+    gives
+
+        A.B - C.D' - sum c.G = 0  <=>  N_A.N_B - N_C.N_D' - D sum c.N_G = 0,
+
+    and the bracket constants c are integers.  So every pair is checked
+    exactly at every depth, and the report is the one the same check over
+    Fractions gives.  A block of the wrong shape, or an entry that is not
+    an int or a Fraction (a float would be checked only approximately),
+    raises ValueError naming the generator and the depth.
     """
+    den, acts = _integer_blocks(module)
     checked, skipped, failures = 0, [], []
-    N = module.depth
+    N, dims = module.depth, module.dims
     for x, y in _PAIRS:
         sx, sy = DEPTH_SHIFT[x], DEPTH_SHIFT[y]
+        ax, ay = acts[x], acts[y]
+        bracket = [(-den * c, acts[g]) for g, c in _BRACKET[(x, y)]]
         for n in range(N + 1):
-            if module.dims[n] == 0:
+            if dims[n] == 0:
                 continue
             if not module.complete and max(n + sx, n + sy, n + sx + sy) > N:
                 skipped.append((GEN_NAMES[x], GEN_NAMES[y], n))
                 continue
-            lhs = (module.act(x, n + sy) * module.act(y, n)
-                   - module.act(y, n + sx) * module.act(x, n))
-            for g, c in _BRACKET[(x, y)]:
-                lhs = lhs - module.act(g, n) * c
             t = n + sx + sy
-            tgt = module.dims[t] if 0 <= t <= N else 0
-            if (lhs.nrows, lhs.ncols) != (tgt, module.dims[n]) \
-                    or not lhs.is_zero():
+            # acts[g][k + 1] is D * act(g, k)
+            terms = [(1, ax[n + sy + 1], ay[n + 1]),
+                     (-1, ay[n + sx + 1], ax[n + 1])]
+            terms += [(s, ag[n + 1], None) for s, ag in bracket]
+            lhs = integer_product_sum(dims[t] if 0 <= t <= N else 0,
+                                      dims[n], terms)
+            if any(map(any, lhs)):
                 failures.append((GEN_NAMES[x], GEN_NAMES[y], n))
             else:
                 checked += 1

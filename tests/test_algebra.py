@@ -111,8 +111,10 @@ def test_straighten_e2_f2():
 
 
 def test_straighten_respects_coefficient():
-    assert straighten_word((E, F), Fraction(1, 3)) == \
-        element(((F, E), Fraction(1, 3)), ((H,), Fraction(1, 3)))
+    nf = straighten_word((E, F), Fraction(1, 3))
+    assert nf == element(((F, E), Fraction(1, 3)), ((H,), Fraction(1, 3)))
+    assert [type(c) for c in nf.values()] == [Fraction, Fraction]
+    assert straighten_word((E, F), 0) == {}
 
 
 def test_already_ordered_word_is_fixed():
@@ -133,6 +135,19 @@ _word = st.lists(st.sampled_from(GENERATORS), min_size=0, max_size=7)
 def test_rewriters_agree(word):
     word = tuple(word)
     assert straighten_word(word) == straighten_leftmost(word)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_word, st.sampled_from([1, Fraction(1), Fraction(1, 3), -2,
+                               Fraction(-5, 7)]))
+def test_straighten_coefficients_are_fractions(word, coefficient):
+    # the kernel runs on ints; none of them may reach a result, where an
+    # int that compares equal to the right Fraction would still slip past
+    # an equality test
+    word = tuple(word)
+    nf = straighten_word(word, coefficient)
+    assert all(type(c) is Fraction for c in nf.values())
+    assert nf == straighten_leftmost(word, coefficient)
 
 
 @settings(max_examples=120, deadline=None)

@@ -138,6 +138,26 @@ def test_stabilize_solves_each_window_once(monkeypatch, with_cocycles):
         (golden["cocycles"] if with_cocycles else [])
 
 
+def test_representatives_stop_drawing_kernel_vectors(monkeypatch):
+    # (3, 1) in O at window 5 has 91 kernel vectors, and the first 30 are
+    # coboundaries; drawing stops at the 31st, its one representative
+    drawn = []
+    vectors = SparseSystem.kernel_vectors
+
+    def counting(self):
+        for v in vectors(self):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(SparseSystem, "kernel_vectors", counting)
+    lam = Weight(3, 1)
+    r = ext1(lam, lam, "O", window=5, with_cocycles=False)
+    assert drawn == []
+    r = ext1(lam, lam, "O", window=5)
+    assert len(r.cocycles) == r.dim == 1
+    assert len(drawn) == 31
+
+
 def test_missing_representatives_raise_with_the_weights(monkeypatch):
     monkeypatch.setattr(SparseSystem, "reduce_vector",
                         lambda self, vec: [0] * len(vec))

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from takiff.linalg import (Mat, RowSpace, SparseSystem, kernel_basis, rank,
-                           rref, solve_columns)
+from takiff.linalg import (Mat, RowSpace, SparseSystem, integer_product_sum,
+                           kernel_basis, rank, rref, solve_columns)
 
 
 def M(rows):
@@ -207,9 +207,51 @@ def test_sparse_results_do_not_depend_on_pivot_rows(m, n, r):
             for row in order:
                 sysm.add_row({c: v for c, v in enumerate(row) if v})
             assert sysm.nullspace_basis() == ker
+            # the lazy form yields the same vectors in the same order
+            assert list(sysm.kernel_vectors()) == ker
             for v in probes:
                 assert sysm.reduce_vector(v) == \
                     _dense_normal_form(rref_rows, pivots, v)
+
+
+def test_kernel_vectors_are_built_on_demand():
+    sysm = SparseSystem(4)
+    sysm.add_row({0: 1, 1: 1})
+    vectors = sysm.kernel_vectors()
+    assert next(vectors) == [-1, 1, 0, 0]
+    assert list(vectors) == [[0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the integer product that check_relations runs on
+
+def _sparse_int_rows(mat):
+    return [[(j, int(x)) for j, x in enumerate(row) if x] for row in mat.rows]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_integer_product_sum_matches_mat_products(seed):
+    rng = random.Random(seed)
+    p, q = rng.randrange(0, 5), rng.randrange(0, 5)
+
+    def rand(nrows, ncols):
+        return Mat(nrows, ncols, [[rng.choice([0, 0, 0, 1, -1, 2, 5])
+                                   for _ in range(ncols)]
+                                  for _ in range(nrows)])
+
+    terms, want = [], Mat.zeros(p, q)
+    for _ in range(rng.randrange(0, 4)):
+        scale, mid = rng.choice([1, -1, 3, -6]), rng.randrange(0, 5)
+        left, right = rand(p, mid), rand(mid, q)
+        terms.append((scale, _sparse_int_rows(left), _sparse_int_rows(right)))
+        want = want + left * right * scale
+    ident = rand(p, q)
+    terms.append((-2, _sparse_int_rows(ident), None))
+    terms.append((5, (), None))  # an empty left factor adds nothing
+    want = want - ident * 2
+    got = integer_product_sum(p, q, terms)
+    assert got == want.rows
+    assert all(type(x) is int for row in got for x in row)
 
 
 def test_sparse_reduce_vector_zeroes_row_space():

@@ -12,13 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takiff.algebra import E, EBAR, F, FBAR, H, HBAR, GENERATORS, DEPTH_SHIFT
+from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS,
+                            GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS)
 from takiff import modules as modules_mod
+from takiff.ext import assemble_extension, ext1
 from takiff.linalg import Mat
 from takiff.modules import (ALPHA, Character, TruncatedModule, Weight,
                             casimir_action, casimir_scalar, category_check,
                             character, check_relations, dualize,
-                            module_from_json, module_to_json, simple_dims,
+                            module_from_json, module_to_json,
+                            RelationReport, simple_dims,
                             simple_module, verma)
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -233,6 +236,148 @@ def test_check_relations_skips_only_at_the_edge():
     rep = check_relations(m)
     assert rep.passed
     assert all(d >= m.depth - 1 for _, _, d in rep.skipped)
+
+
+def check_relations_fraction(module):
+    """Reference relation check on Mat products over Fractions, the form
+    check_relations had before it moved to integers: an independent oracle
+    for the integer check."""
+    checked, skipped, failures = 0, [], []
+    N = module.depth
+    for x, y in _PAIRS:
+        sx, sy = DEPTH_SHIFT[x], DEPTH_SHIFT[y]
+        for n in range(N + 1):
+            if module.dims[n] == 0:
+                continue
+            if not module.complete and max(n + sx, n + sy, n + sx + sy) > N:
+                skipped.append((GEN_NAMES[x], GEN_NAMES[y], n))
+                continue
+            lhs = (module.act(x, n + sy) * module.act(y, n)
+                   - module.act(y, n + sx) * module.act(x, n))
+            for g, c in _BRACKET[(x, y)]:
+                lhs = lhs - module.act(g, n) * c
+            t = n + sx + sy
+            tgt = module.dims[t] if 0 <= t <= N else 0
+            if (lhs.nrows, lhs.ncols) != (tgt, module.dims[n]) \
+                    or not lhs.is_zero():
+                failures.append((GEN_NAMES[x], GEN_NAMES[y], n))
+            else:
+                checked += 1
+    return RelationReport(not failures, checked, skipped, failures)
+
+
+def _assert_checks_agree(module):
+    got, want = check_relations(module), check_relations_fraction(module)
+    assert (got.passed, got.checked, got.skipped, got.failures) == \
+        (want.passed, want.checked, want.skipped, want.failures)
+    return got
+
+
+def _perturbed(module, rnd, delta):
+    """A copy of module with delta added to one entry of one nonempty
+    block; None when every block is empty."""
+    spots = [(g, n, r, c) for g in GENERATORS
+             for n, blk in sorted(module.actions[g].items())
+             for r in range(blk.nrows) for c in range(blk.ncols)]
+    if not spots:
+        return None
+    g, n, r, c = rnd.choice(spots)
+    actions = {h: dict(blocks) for h, blocks in module.actions.items()}
+    blk = actions[g][n] = module.actions[g][n].copy()
+    blk.rows[r][c] += delta
+    return TruncatedModule(module.top, module.depth, module.dims, actions,
+                           complete=module.complete)
+
+
+_tops = st.one_of(
+    st.builds(Weight, _rationals, _rationals),
+    # integral dominant tops give complete simples, checked to the edge
+    st.builds(Weight, st.integers(0, 6), st.just(0)))
+_deltas = st.fractions(min_value=-3, max_value=3,
+                       max_denominator=5).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tops, st.integers(0, 6), st.randoms(use_true_random=False), _deltas)
+def test_integer_check_matches_fraction_oracle(top, depth, rnd, delta):
+    for module in (verma(top, depth), dualize(verma(top, depth)),
+                   simple_module(top, depth)):
+        assert _assert_checks_agree(module).passed
+        bad = _perturbed(module, rnd, delta)
+        if bad is not None:
+            _assert_checks_agree(bad)
+
+
+_cosets = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                           Fraction(-2, 3), Fraction(5, 3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cosets, st.integers(-2, 1), st.integers(-2, 1),
+       st.sampled_from(["O", "Otilde"]), st.integers(3, 5),
+       st.randoms(use_true_random=False), _deltas)
+def test_integer_check_matches_fraction_oracle_on_extensions(
+        rep, m1, m2, cat, window, rnd, delta):
+    lam, mu = Weight(rep + 2 * m1, 0), Weight(rep + 2 * m2, 0)
+    # ext1 needs a window at least 2 past the offset between the weights
+    result = ext1(lam, mu, cat, window=max(window, abs(m1 - m2) + 2))
+    for index in range(len(result.cocycles)):
+        module = assemble_extension(result, index)
+        assert _assert_checks_agree(module).passed
+        _assert_checks_agree(_perturbed(module, rnd, delta))
+
+
+def test_tampering_with_a_rational_entry_is_caught():
+    # a denominator the other entries lack raises the common denominator
+    m = verma(Weight(Fraction(1, 3), Fraction(-2, 5)), 4)
+    bad = _perturbed(m, random.Random(0), Fraction(1, 7))
+    rep = _assert_checks_agree(bad)
+    assert not rep.passed and rep.failures
+
+
+@pytest.mark.parametrize("g, n, shape, want", [
+    (HBAR, 2, (2, 3), "3x3"),   # a depth-2 slice is 3-dimensional
+    (F, 1, (3, 3), "3x2"),
+    (E, 0, (1, 1), "0x1"),      # nothing lies above the top
+])
+def test_check_relations_rejects_a_misshapen_block(g, n, shape, want):
+    m = verma(Weight(1, 0), 3)
+    m.actions[g][n] = Mat.zeros(*shape)
+    message = r"%s block at depth %d is %dx%d, expected %s" % (
+        GEN_NAMES[g], n, shape[0], shape[1], want)
+    with pytest.raises(ValueError, match=message):
+        check_relations(m)
+
+
+def test_check_relations_rejects_a_float_entry():
+    m = verma(Weight(1, 0), 3)
+    m.act(HBAR, 2).rows[1][0] = 0.5
+    message = "hbar block at depth 2 has a non-exact entry 0.5"
+    with pytest.raises(ValueError, match=message):
+        check_relations(m)
+
+
+def test_check_relations_input_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from takiff.linalg import Mat\n"
+            "from takiff.modules import Weight, check_relations, verma\n"
+            "for edit in ('shape', 'float'):\n"
+            "    m = verma(Weight(1, 0), 3)\n"
+            "    if edit == 'shape':\n"
+            "        m.actions[1][2] = Mat.zeros(2, 3)\n"
+            "    else:\n"
+            "        m.act(1, 2).rows[1][0] = 0.5\n"
+            "    try:\n"
+            "        check_relations(m)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "fbar block at depth 2 is 2x3, expected 4x3",
+        "fbar block at depth 2 has a non-exact entry 0.5"]
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,17 @@ def test_tracer_method_sites_resolve(span, cls_path, method):
     assert isinstance(owner, type), "%s: class %s is gone" % (span, cls_path)
     assert callable(vars(owner).get(method)), \
         "%s: %s.%s is gone" % (span, cls_path, method)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats_in_package(path):
+    # exactness is the contract, and the kernels run on ints: a float
+    # literal or a float() call would bring binary approximations in
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Constant)
+                 and isinstance(node.value, float))
+             or (isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "float")]
+    assert lines == [], "%s has floats at lines %s" % (path.name, lines)
