@@ -213,8 +213,14 @@ def straighten_word(word, coefficient=Fraction(1)):
     >>> sorted(straighten_word((E, FBAR, FBAR)).items())
     [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
     """
-    terms = {(): 1}
-    for g in reversed(tuple(word)):
+    word = tuple(word)
+    # the longest sorted suffix is its own normal form, so straightening
+    # starts from it and pushes in only the letters before it
+    k = max(len(word) - 1, 0)
+    while k > 0 and word[k - 1] <= word[k]:
+        k -= 1
+    terms = {word[k:]: 1}
+    for g in reversed(word[:k]):
         nxt = {}
         for w, c in terms.items():
             for w2, c2 in _gen_times_word(g, w):

@@ -1,33 +1,36 @@
 """Dense and sparse exact linear algebra over the rationals.
 
-Everything here but integer_product_sum works on fractions.Fraction
-entries.  Every entry of a Mat is a Fraction, never an int: the public Mat
-constructor coerces what it is given, and the results of Mat operations
-are built from Fractions already, so they are adopted without coercion.
-No result shares a row list with an operand, so callers may write into
-``mat.rows[r][c]``.  RowSpace and SparseSystem.add_row convert entries
-that are not Fractions the same way, so the rows they keep are Fractions
-whatever they are given.
+Every entry a caller sees is a fractions.Fraction, never an int.  The
+public Mat constructor coerces what it is given, and the results of Mat
+operations are built from Fractions already, so they are adopted without
+coercion.  No result shares a row list with an operand, so callers may
+write into ``mat.rows[r][c]``.  RowSpace and SparseSystem.add_row take
+ints, Fractions and floats, each converted exactly, and the rows they hand
+back are Fractions whatever they were given.
 
-The dense kernel skips zeros: sums, differences, scalar and matrix products,
-matvec, rref and RowSpace perform Fraction arithmetic only where both
-operands are nonzero, and an untouched zero stays the zero it was.  The
-modules here are sparse (a depth-20 Verma's action blocks are about 10 %
-nonzero), so this removes most of the arithmetic without changing a single
-result.
+The dense kernel skips zeros: sums, differences, scalar and matrix products
+and matvec perform Fraction arithmetic only where both operands are
+nonzero, and an untouched zero stays the zero it was.  The modules here
+are sparse (a depth-20 Verma's action blocks are about 10 % nonzero), so
+this removes most of the arithmetic without changing a single result.
 
-integer_product_sum is the one integer kernel here: sums of products of
+Three kernels run on Python ints.  integer_product_sum sums products of
 integer matrices in sparse row form, which check_relations runs on once it
-has cleared a module's denominators.
+has cleared a module's denominators.  RowSpace and SparseSystem.eliminate
+eliminate fraction-free.
 
 There are two elimination engines, one per job:
 
 - RowSpace, for the slices of a module (small dense matrices, a depth-20
-  Verma slice is 21 columns wide).  It is incremental Gauss-Jordan: each
-  added vector is reduced by the rows so far, scaled to 1 at its first
-  nonzero column and back-substituted into the other rows, so the rows stay
-  the canonical RREF of the span.  rref, rank, kernel_basis and
-  solve_columns feed their rows into one.
+  Verma slice is 21 columns wide).  It is incremental Gauss-Jordan on
+  primitive integer rows: an added vector is cleared of denominators,
+  reduced by the rows so far (scaled once by the lcm of the leads it
+  uses), divided by its content and back-substituted into the other rows
+  as row <- a * row - b * v with a and b divided by their gcd.  Each row is
+  then the canonical RREF row times its lead, and ``rows``, the Fraction
+  RREF, is built on demand and kept until the space grows.  rref, rank,
+  kernel_basis and solve_columns feed their rows into one; the submodule
+  closure of the structure module feeds it integer vectors directly.
 - SparseSystem, for the Ext cocycle systems (large, banded, homogeneous).
   It walks the columns in order and takes as pivot the row with the fewest
   nonzeros, lowest index on ties (Markowitz 1957), which keeps fill-in and
@@ -46,18 +49,10 @@ v + rowspace that vanishes on every pivot column, is unique.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _axpy_into(v, c, row):
-    """v <- v - c * row in place, touching only the nonzeros of row."""
-    for k, b in enumerate(row):
-        if b:
-            x = v[k]
-            v[k] = x - c * b if x else -(c * b)
 
 
 class Mat:
@@ -305,56 +300,107 @@ def solve_columns(A, B):
     return X
 
 
+def _integer_vector(vec, ncols):
+    """The entries of vec times the least common denominator of its nonzero
+    entries, as ints: a positive multiple of vec.  Entries that are not
+    Fractions are converted exactly first (an int as itself, a float as the
+    binary fraction it stores).  Raises ValueError unless vec has ncols
+    entries."""
+    if len(vec) != ncols:
+        raise ValueError("vector of length %d for a space of %d columns"
+                         % (len(vec), ncols))
+    v = [x if type(x) is Fraction else Fraction(x) for x in vec]
+    den = lcm(*[x.denominator for x in v if x])
+    return [x.numerator * (den // x.denominator) if x else 0 for x in v]
+
+
 class RowSpace:
     """An incrementally built row space in RREF, with membership testing.
 
-    The basis it exposes is the canonical RREF basis of the span, so two
-    RowSpaces over the same subspace expose identical bases no matter the
-    insertion order.
+    Inside, every row is a primitive integer vector (coprime entries,
+    positive lead) that is zero at the pivot columns of the other rows: the
+    canonical RREF row times its lead.  ``rows`` divides each row by its
+    lead and is rebuilt only after the space grows.  The basis it exposes
+    is the canonical RREF basis of the span, so two RowSpaces over the same
+    subspace expose identical bases no matter the insertion order.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []     # reduced rows, sorted by pivot column
-        self.pivots = []   # pivot column of each row
+        self.pivots = []   # pivot columns, increasing
+        self._ints = []    # primitive integer rows, one per pivot
+        self._rows = []    # the Fraction RREF, or None until rebuilt
 
-    def _reduce(self, vec):
-        # an int pivot would divide to a float, and float input would
-        # reduce inexactly
-        v = [x if type(x) is Fraction else Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                _axpy_into(v, c, row)
-        return v
+    @property
+    def rows(self):
+        """The reduced rows as Fractions, sorted by pivot column."""
+        if self._rows is None:
+            self._rows = [[Fraction(x, r[p]) if x else _ZERO for x in r]
+                          for r, p in zip(self._ints, self.pivots)]
+        return self._rows
+
+    def _reduce(self, v):
+        """A new integer vector: L * v minus the multiples of the rows that
+        zero it at every pivot column, L the lcm of the leads used."""
+        hits = [(r, p, v[p]) for r, p in zip(self._ints, self.pivots)
+                if v[p]]
+        if not hits:
+            return list(v)
+        scale = lcm(*[r[p] for r, p, _ in hits])
+        w = [x * scale for x in v] if scale != 1 else list(v)
+        for r, p, c in hits:
+            f = c * (scale // r[p])
+            for k, b in enumerate(r):
+                if b:
+                    w[k] -= f * b
+        return w
 
     def add(self, vec):
-        """Insert a vector; returns True if it enlarged the space."""
-        v = self._reduce(vec)
-        for p in range(self.ncols):
-            inv = v[p]
-            if inv:
-                if inv != 1:
-                    v = [a / inv if a else a for a in v]
-                # back-substitute into existing rows to keep full RREF
-                for row in self.rows:
-                    c = row[p]
-                    if c:
-                        _axpy_into(row, c, v)
-                idx = bisect_left(self.pivots, p)
-                self.rows.insert(idx, v)
-                self.pivots.insert(idx, p)
-                return True
-        return False
+        """Insert a vector of ints, Fractions or floats; returns True if it
+        enlarged the space."""
+        return self._add_integer(_integer_vector(vec, self.ncols))
+
+    def _add_integer(self, vec):
+        """add() for a list of ncols ints, which is neither kept nor
+        modified."""
+        w = self._reduce(vec)
+        p = next((k for k, x in enumerate(w) if x), None)
+        if p is None:
+            return False
+        g = gcd(*w)
+        if w[p] < 0:
+            g = -g
+        if g != 1:
+            w = [x // g for x in w]
+        lead = w[p]
+        # back-substitute: row <- a * row - b * w clears row[p]
+        for r in self._ints:
+            c = r[p]
+            if c:
+                h = gcd(lead, c)
+                a, b = lead // h, c // h
+                if a != 1:
+                    r[:] = [a * x for x in r]
+                for k, x in enumerate(w):
+                    if x:
+                        r[k] -= b * x
+                h = gcd(*r)
+                if h != 1:
+                    r[:] = [x // h for x in r]
+        idx = bisect_left(self.pivots, p)
+        self._ints.insert(idx, w)
+        self.pivots.insert(idx, p)
+        self._rows = None
+        return True
 
     def contains(self, vec):
-        return not any(self._reduce(vec))
+        return not any(self._reduce(_integer_vector(vec, self.ncols)))
 
     def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return all(not any(self._reduce(r)) for r in other._ints)
 
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis(self):
         return [list(r) for r in self.rows]

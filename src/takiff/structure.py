@@ -11,17 +11,27 @@ vectors is computed exactly on the visible window by closing under the six
 single-generator actions; no information leaks in from below the truncation.
 Characters, on the other hand, are only trusted up to ``depth - guard``
 wherever a statement depends on slices near the boundary.
+
+The closure runs on integers: the action blocks are cleared of their common
+denominator once per module, and integer images go straight into one
+RowSpace per slice.  A submodule's actions are then read off the pivots of
+those RowSpaces (see submodule), with no system solved.  hasse_diagram and
+mn_filtration read only spans and dimensions, so they take the RowSpaces
+of the closure and build no submodule actions at all.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      DEPTH_SHIFT)
-from .linalg import Mat, RowSpace, kernel_basis, solve_columns
-from .modules import (Weight, Character, TruncatedModule, character,
-                      simple_dims, verma, dualize)
+                      DEPTH_SHIFT, exact_int)
+# solve_columns is imported for bench/tracer.py, which wraps it
+# under this module's name
+from .linalg import (Mat, RowSpace, _ZERO, _integer_vector, kernel_basis,
+                     solve_columns)
+from .modules import (Weight, Character, TruncatedModule, _integer_blocks,
+                      character, simple_dims, verma, dualize)
 
 __all__ = [
     "singular_vectors", "cosingular_dim", "submodule", "quotient",
@@ -102,35 +112,79 @@ def cosingular_dim(module, mu):
 # ---------------------------------------------------------------------------
 # submodules and quotients
 
-def submodule(module, generators):
-    """Submodule generated by homogeneous vectors, as a TruncatedModule.
+def _image(block, vec):
+    """An integer matrix in sparse row form times an integer vector."""
+    out = []
+    for row in block:
+        x = 0
+        for j, a in row:
+            x += a * vec[j]
+        out.append(x)
+    return out
 
-    ``generators`` is a list of (depth, coordinate vector) pairs.  The result
-    keeps the parent's coset anchor (its top weight), so leading slices may
-    be zero-dimensional.  The embedding into the parent is attached as
-    ``.embedding``: {depth: Mat whose columns are the canonical basis}.
-    """
-    N = module.depth
-    spaces = [RowSpace(module.dims[d]) for d in range(N + 1)]
+
+def _closure(module, generators, iacts):
+    """The RowSpaces, one per depth, of the submodule spanned by the
+    (depth, vector) generators.  iacts is _integer_blocks(module), D and the
+    action blocks times D as integer rows: an image N.v is D times the
+    image A.v, so the closure runs on integer vectors with the same span.
+    A generator is skipped where its target slice is already full.  Raises
+    ValueError for a depth outside the window or a vector of the wrong
+    length."""
+    N, dims = module.depth, module.dims
+    acts = iacts[1]
+    spaces = [RowSpace(n) for n in dims]
     work = []
     for d, vec in generators:
-        vec = [Fraction(x) for x in vec]
-        if len(vec) != module.dims[d]:
+        d = exact_int(d, "generator depth")
+        if not 0 <= d <= N:
+            raise ValueError("generator depth %d outside the window 0..%d"
+                             % (d, N))
+        if len(vec) != dims[d]:
             raise ValueError("generator at depth %d has length %d, expected %d"
-                             % (d, len(vec), module.dims[d]))
-        if spaces[d].add(vec):
+                             % (d, len(vec), dims[d]))
+        vec = _integer_vector(vec, dims[d])
+        if spaces[d]._add_integer(vec):
             work.append((d, vec))
     while work:
         d, vec = work.pop()
         for g in GENERATORS:
             t = d + DEPTH_SHIFT[g]
-            if not (0 <= t <= N) or module.dims[t] == 0:
+            if not 0 <= t <= N or spaces[t].dim() == dims[t]:
                 continue
-            img = module.act(g, d).matvec(vec)
-            if spaces[t].add(img):
+            img = _image(acts[g][d + 1], vec)
+            c = gcd(*img)
+            if c == 0:
+                continue
+            if c > 1:
+                img = [x // c for x in img]
+            if spaces[t]._add_integer(img):
                 work.append((t, img))
-    # canonical bases are the RREF rows; embed as columns
-    dims = [spaces[d].dim() for d in range(N + 1)]
+    return spaces
+
+
+def submodule(module, generators):
+    """Submodule generated by homogeneous vectors, as a TruncatedModule.
+
+    ``generators`` is a list of (depth, coordinate vector) pairs; a depth
+    outside 0..module.depth or a vector of the wrong length raises
+    ValueError.  The result keeps the parent's coset anchor (its top
+    weight), so leading slices may be zero-dimensional.  The embedding into
+    the parent is attached as ``.embedding``: {depth: Mat whose columns are
+    the canonical basis}.
+
+    The actions are read off the pivots.  The canonical basis vector b_j at
+    depth d is r_j / lead_j for a primitive integer row r_j, and it is 1 at
+    its own pivot and 0 at the others.  The image A.b_j = N.r_j / (D
+    lead_j) lies in the span at the target depth, so its coordinate on the
+    target's i-th basis vector is its entry at that vector's pivot p_i:
+    X[i][j] = (N[p_i] . r_j) / (D lead_j).
+    """
+    N = module.depth
+    iacts = _integer_blocks(module)
+    den, acts = iacts
+    spaces = _closure(module, generators, iacts)
+    dims = [space.dim() for space in spaces]
     embedding = {d: Mat(dims[d], module.dims[d], spaces[d].basis()).transpose()
                  for d in range(N + 1)}
     actions = {g: {} for g in GENERATORS}
@@ -139,8 +193,14 @@ def submodule(module, generators):
             t = d + DEPTH_SHIFT[g]
             if dims[d] == 0 or not (0 <= t <= N):
                 continue
-            image = module.act(g, d) * embedding[d]
-            actions[g][d] = solve_columns(embedding[t], image)
+            src = spaces[d]
+            cols = [(r, den * r[p]) for r, p in zip(src._ints, src.pivots)]
+            block = [acts[g][d + 1][p] for p in spaces[t].pivots]
+            out = [[] for _ in block]
+            for r, q in cols:
+                for row, x in zip(out, _image(block, r)):
+                    row.append(Fraction(x, q) if x else _ZERO)
+            actions[g][d] = Mat._adopt(dims[t], dims[d], out)
     sub = TruncatedModule(module.top, N, dims, actions,
                           complete=module.complete, label="submodule")
     sub.embedding = embedding
@@ -161,26 +221,39 @@ def quotient(module, sub):
 
     Coordinates of the quotient at each depth are the non-pivot coordinates
     of the submodule's RREF column space; the projection kills the submodule
-    exactly.  Raises ValueError if the alleged submodule is not closed under
-    the action inside the window.
+    exactly.  Raises ValueError if an embedding does not have the height of
+    the module's slice, or if the alleged submodule is not closed under the
+    action inside the window (checked on integers, like the closure).
     """
     if not hasattr(sub, "embedding"):
         raise ValueError("submodule must carry an embedding (use submodule())")
     N = module.depth
+    for d in range(N + 1):
+        if sub.embedding[d].nrows != module.dims[d]:
+            raise ValueError("embedding at depth %d has %d rows, expected %d"
+                             % (d, sub.embedding[d].nrows, module.dims[d]))
     spaces = [_column_space(sub.embedding[d]) for d in range(N + 1)]
+    acts = _integer_blocks(module)[1]
     for g in GENERATORS:
         for d in range(N + 1):
             t = d + DEPTH_SHIFT[g]
-            if sub.dims[d] == 0 or not (0 <= t <= N):
+            if not (0 <= t <= N):
                 continue
-            img = module.act(g, d) * sub.embedding[d]
-            if not all(map(spaces[t].contains, img.columns())):
-                raise ValueError("not a submodule: images leave the span")
-    proj, lift, dims = {}, {}, []
+            for r in spaces[d]._ints:
+                if any(spaces[t]._reduce(_image(acts[g][d + 1], r))):
+                    raise ValueError("not a submodule: images leave the span")
+    return _quotient(module, spaces)
+
+
+def _quotient(module, spaces):
+    """The quotient by the submodule whose slices span the given RowSpaces,
+    which the caller has made closed under the action."""
+    N = module.depth
+    proj, kept_of, dims = {}, {}, []
     for d in range(N + 1):
         amb = module.dims[d]
         pivots, rows = spaces[d].pivots, spaces[d].rows
-        kept = [c for c in range(amb) if c not in pivots]
+        kept = kept_of[d] = [c for c in range(amb) if c not in pivots]
         dims.append(len(kept))
         q = Mat.zeros(len(kept), amb)
         for r, c in enumerate(kept):
@@ -188,17 +261,17 @@ def quotient(module, sub):
             for row, p in zip(rows, pivots):
                 q.rows[r][p] -= row[c]
         proj[d] = q
-        lf = Mat.zeros(amb, len(kept))
-        for r, c in enumerate(kept):
-            lf.rows[c][r] = Fraction(1)
-        lift[d] = lf
     actions = {g: {} for g in GENERATORS}
     for g in GENERATORS:
         for d in range(N + 1):
             t = d + DEPTH_SHIFT[g]
             if dims[d] == 0 or not (0 <= t <= N):
                 continue
-            actions[g][d] = proj[t] * (module.act(g, d) * lift[d])
+            kept = kept_of[d]
+            lifted = Mat._adopt(module.dims[t], dims[d],
+                                [[row[c] for c in kept]
+                                 for row in module.act(g, d).rows])
+            actions[g][d] = proj[t] * lifted
     quo = TruncatedModule(module.top, N, dims, actions,
                           complete=module.complete, label="quotient")
     quo.projection = proj
@@ -207,8 +280,17 @@ def quotient(module, sub):
 
 
 def project_vector(quo, d, vec):
-    """Image of an ambient depth-d vector in the quotient's coordinates."""
-    return quo.projection[d].matvec([Fraction(x) for x in vec])
+    """Image of an ambient depth-d vector in the quotient's coordinates.
+    Raises ValueError for a depth outside the quotient's window or a vector
+    of the wrong length."""
+    d = exact_int(d, "depth")
+    if not 0 <= d <= quo.depth:
+        raise ValueError("depth %d outside the window 0..%d" % (d, quo.depth))
+    proj = quo.projection[d]
+    if len(vec) != proj.ncols:
+        raise ValueError("vector at depth %d has length %d, expected %d"
+                         % (d, len(vec), proj.ncols))
+    return proj.matvec([Fraction(x) for x in vec])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +396,9 @@ def mn_filtration(top, depth=None, guard=2):
     kn = submodule(delta, [(n + 1, [Fraction(1)] + [Fraction(0)] * (n + 1))])
     mn = quotient(delta, kn)
 
-    # the chain X_0 = M_n  >  X_1  >  ...  >  X_k = 0
+    # the chain X_0 = M_n  >  X_1  >  ...  >  X_k = 0, each X_i as the
+    # RowSpaces of its slices
+    mn_acts = _integer_blocks(mn)
     chain = []
     for i in range(k + 1):
         if i > depth:
@@ -323,13 +407,13 @@ def mn_filtration(top, depth=None, guard=2):
         if all(x == 0 for x in gen):
             chain.append(None)  # the zero submodule
         else:
-            chain.append(submodule(mn, [(i, gen)]))
+            chain.append(_closure(mn, [(i, gen)], mn_acts))
     cert = {"layer_characters_match": True, "chain_strictly_decreasing": True,
             "terminates_at_zero": chain[-1] is None,
             "unique_simple_socle": True}
 
     def dims_of(x):
-        return [0] * (depth + 1) if x is None else x.dims
+        return [0] * (depth + 1) if x is None else [s.dim() for s in x]
 
     if dims_of(chain[0]) != mn.dims:
         cert["chain_strictly_decreasing"] = False  # X_0 must be all of M_n
@@ -352,15 +436,16 @@ def mn_filtration(top, depth=None, guard=2):
         if chain[i + 1] is None:
             stage = mn
         else:
-            stage = quotient(mn, chain[i + 1])
+            stage = _quotient(mn, chain[i + 1])
+        stage_acts = _integer_blocks(stage)
         candidates = 0
         for j in range(trusted + 1):
             if stage.dims[j] == 0:
                 continue
             for vec in singular_vectors(stage, top.down(j)):
-                gen = submodule(stage, [(j, vec)])
+                gen = _closure(stage, [(j, vec)], stage_acts)
                 sdims = simple_dims(top.down(j), trusted - j)
-                if [gen.dims[d + j] for d in range(trusted + 1 - j)] == sdims:
+                if [gen[d + j].dim() for d in range(trusted + 1 - j)] == sdims:
                     candidates += 1
         if candidates != 1:
             cert["unique_simple_socle"] = False
@@ -430,25 +515,27 @@ def hasse_diagram(top, depth=None, offsets=None):
     if depth is None:
         depth = n + offsets + 3
     delta = verma(top, depth)
-    mods = {}
+    delta_acts = _integer_blocks(delta)
+    mods = {}  # label -> (kind, generator depth, RowSpaces of the slices)
     for i in range(offsets + 1):
-        mods["V%d" % i] = ("verma", i,
-                           submodule(delta, [(i, _fbar_power_vector(delta, i))]))
+        mods["V%d" % i] = ("verma", i, _closure(
+            delta, [(i, _fbar_power_vector(delta, i))], delta_acts))
     for i in range(k + 1):
         m = n - 2 * i
         d = m + 1 + i
         if d > depth:
             continue
-        vec = [Fraction(0)] * delta.dims[d]
-        vec[i] = Fraction(1)  # f^(m+1) fbar^i v
-        mods["K%d" % m] = ("kernel", d, submodule(delta, [(d, vec)]))
+        vec = [0] * delta.dims[d]
+        vec[i] = 1  # f^(m+1) fbar^i v
+        mods["K%d" % m] = ("kernel", d, _closure(delta, [(d, vec)],
+                                                 delta_acts))
     labels = sorted(mods)
-    spaces = {label: [_column_space(mods[label][2].embedding[d])
-                      for d in range(depth + 1)] for label in labels}
 
     def leq(a, b):  # a contained in b
-        return all(spaces[b][d].contains_space(spaces[a][d])
-                   for d in range(depth + 1))
+        sa, sb = mods[a][2], mods[b][2]
+        if any(x.dim() > y.dim() for x, y in zip(sa, sb)):
+            return False
+        return all(y.contains_space(x) for x, y in zip(sa, sb))
 
     strict = {(a, b) for a in labels for b in labels
               if a != b and leq(a, b) and not leq(b, a)}
@@ -456,7 +543,8 @@ def hasse_diagram(top, depth=None, offsets=None):
     for a, b in strict:  # b covers a unless something sits strictly between
         if not any((a, c) in strict and (c, b) in strict for c in labels):
             edges.append((b, a))
-    nodes = [(label, mods[label][0], mods[label][1], mods[label][2].dims)
+    nodes = [(label, mods[label][0], mods[label][1],
+              [space.dim() for space in mods[label][2]])
              for label in labels]
     order = {"verma": 0, "kernel": 1}
     nodes.sort(key=lambda t: (order[t[1]], t[2]))

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                            _BRACKET, EnvelopingElement, casimir, element,
+                            _BRACKET, EnvelopingElement, _gen_times_word,
+                            casimir, element,
                             lie_bracket, multiply, straighten,
                             straighten_word, word_bar_degree, word_h_weight,
                             word_to_exponents)
@@ -135,6 +136,23 @@ _word = st.lists(st.sampled_from(GENERATORS), min_size=0, max_size=7)
 def test_rewriters_agree(word):
     word = tuple(word)
     assert straighten_word(word) == straighten_leftmost(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_word, st.lists(st.sampled_from(GENERATORS), min_size=0, max_size=12))
+def test_rewriters_agree_on_long_sorted_suffixes(prefix, suffix):
+    word = tuple(prefix) + tuple(sorted(suffix))
+    assert straighten_word(word) == straighten_leftmost(word)
+
+
+def test_sorted_word_is_not_pushed_through_the_kernel():
+    # the longest sorted suffix is its own normal form: a sorted word asks
+    # the memoized kernel nothing
+    _gen_times_word.cache_clear()
+    w = (F,) * 10 + (FBAR,) * 10 + (H, E)
+    assert straighten_word(w) == {word_to_exponents(w): Fraction(1)}
+    info = _gen_times_word.cache_info()
+    assert info.hits + info.misses == 0
 
 
 @settings(max_examples=120, deadline=None)

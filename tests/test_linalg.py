@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,91 @@ def test_dense_kernel_matches_naive_reference():
             assert _entries_are_fractions(rs.rows)
             assert not _shares_a_row(rs.rows, a_rows, b_rows)
         assert A.rows == snapshot
+
+
+def _as_input(rng, row):
+    """The rational row as ints, Fractions or floats where each is exact:
+    a float only for a dyadic entry, an int only for an integral one."""
+    kind = rng.choice(["int", "fraction", "float", "mixed"])
+    out = []
+    for x in row:
+        k = kind if kind != "mixed" else rng.choice(["int", "fraction",
+                                                     "float"])
+        if k == "int" and x.denominator == 1:
+            out.append(int(x))
+        elif (k == "float" and x.denominator & (x.denominator - 1) == 0
+              and abs(x.numerator) < 2 ** 50):
+            out.append(x.numerator / x.denominator)
+        else:
+            out.append(x)
+    return out
+
+
+def _cleared(row):
+    """A positive integer multiple of a rational row."""
+    den = 1
+    for x in row:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [int(x * den) for x in row]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_rowspace_matches_naive_reference(seed):
+    # both entry points, large coefficients and ints, Fractions and floats:
+    # after every insertion the Fraction RREF, the pivots and membership
+    # equal the naive Gauss-Jordan's
+    rng = random.Random(seed)
+    big = [1, 10 ** 30, 2 ** 64 + 1]
+    for _ in range(25):
+        m, n = rng.randrange(1, 9), rng.randrange(1, 8)
+        size = rng.choice(big)
+        rows = []
+        for _ in range(m):
+            if rows and rng.random() < 0.3:  # a dependent row
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = Fraction(rng.randrange(-size, size + 1),
+                             rng.randrange(1, 9))
+                rows.append([x + c * y for x, y in zip(a, b)])
+            else:
+                rows.append([Fraction(rng.randrange(-size, size + 1),
+                                      rng.choice([1, 2, 4, 3, size]))
+                             if rng.random() < 0.6 else Fraction(0)
+                             for _ in range(n)])
+        public, integer = RowSpace(n), RowSpace(n)
+        added = []
+        for row in rows:
+            want_before = _naive_rref(added, n)[1]
+            given = _as_input(rng, row)
+            ints = _cleared(row)
+            snapshot = list(ints)
+            in_span = len(_naive_rref(added + [row], n)[1]) == \
+                len(want_before)
+            assert public.contains(given) == integer.contains(ints) == in_span
+            assert public.add(given) == integer._add_integer(ints) == \
+                (not in_span)
+            assert ints == snapshot
+            added.append(row)
+            want_rows, want_pivots = _naive_rref(added, n)
+            for space in (public, integer):
+                assert space.rows == want_rows
+                assert space.pivots == want_pivots and space.dim() == \
+                    len(want_pivots)
+                assert _entries_are_fractions(space.rows)
+            assert public.contains_space(integer)
+            assert integer.contains_space(public)
+        smaller = RowSpace(n)
+        for row in added[:-1]:
+            smaller.add(row)
+        assert public.contains_space(smaller)
+        assert smaller.contains_space(public) == \
+            (smaller.dim() == public.dim())
+
+
+def test_rowspace_rejects_a_vector_of_the_wrong_length():
+    rs = RowSpace(3)
+    for call in (rs.add, rs.contains):
+        with pytest.raises(ValueError, match="length 2 for a space of 3"):
+            call([1, 2])
 
 
 def test_kernel_and_solve_match_naive_reference():

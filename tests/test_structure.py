@@ -1,15 +1,23 @@
 """Singular vectors, submodules and quotients, multiplicity peeling, the
 uniserial quotients, and submodule diagrams."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from takiff import structure as structure_mod
 from takiff.algebra import DEPTH_SHIFT, E, EBAR, F, FBAR, GENERATORS
-from takiff.linalg import Mat, solve_columns
+from takiff.ext import assemble_extension, ext1
+from takiff.linalg import Mat, RowSpace, solve_columns
 from takiff.modules import (TruncatedModule, Weight, character,
                             check_relations, dualize, simple_dims, verma)
 from takiff.structure import (cosingular_dim, hasse_diagram, mn_filtration,
@@ -274,3 +282,207 @@ def test_hasse_dot_mentions_every_node():
     for label in ("V0", "V1", "V2", "V3", "K0", "K2"):
         assert label in dot
     assert dot.startswith("digraph")
+
+
+# ---------------------------------------------------------------------------
+# the integer closure against the Fraction route
+
+def submodule_by_solving(module, generators):
+    """The Fraction route to submodule(): the closure through Mat.matvec
+    and RowSpace.add, and every action block solved against the embedding
+    with solve_columns.  Returns (module, embedding)."""
+    N = module.depth
+    spaces = [RowSpace(module.dims[d]) for d in range(N + 1)]
+    work = []
+    for d, vec in generators:
+        vec = [Fraction(x) for x in vec]
+        if spaces[d].add(vec):
+            work.append((d, vec))
+    while work:
+        d, vec = work.pop()
+        for g in GENERATORS:
+            t = d + DEPTH_SHIFT[g]
+            if not (0 <= t <= N) or module.dims[t] == 0:
+                continue
+            img = module.act(g, d).matvec(vec)
+            if spaces[t].add(img):
+                work.append((t, img))
+    dims = [space.dim() for space in spaces]
+    embedding = {d: Mat(dims[d], module.dims[d], spaces[d].basis()).transpose()
+                 for d in range(N + 1)}
+    actions = {g: {} for g in GENERATORS}
+    for g in GENERATORS:
+        for d in range(N + 1):
+            t = d + DEPTH_SHIFT[g]
+            if dims[d] and 0 <= t <= N:
+                actions[g][d] = solve_columns(
+                    embedding[t], module.act(g, d) * embedding[d])
+    return (TruncatedModule(module.top, N, dims, actions,
+                            complete=module.complete), embedding)
+
+
+def _random_generators(module, rnd):
+    """One to three homogeneous vectors of small rationals, sparse or
+    dense, at random depths of the module's nonzero slices."""
+    depths = [d for d in range(module.depth + 1) if module.dims[d]]
+    gens = []
+    for _ in range(rnd.randint(1, 3) if depths else 0):
+        d = rnd.choice(depths)
+        density = rnd.choice([0.2, 0.5, 1.0])
+        gens.append((d, [Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                         if rnd.random() < density else Fraction(0)
+                         for _ in range(module.dims[d])]))
+    return gens
+
+
+def _assert_submodule_matches_oracle(module, rnd):
+    gens = _random_generators(module, rnd)
+    got = submodule(module, gens)
+    want, embedding = submodule_by_solving(module, gens)
+    assert got.dims == want.dims
+    assert got.embedding == embedding
+    assert got == want  # every action block
+    assert all(type(x) is Fraction for blocks in got.actions.values()
+               for blk in blocks.values() for r in blk.rows for x in r)
+    # the quotient selects the kept columns: proj . act . lift
+    q = quotient(module, got)
+    for g in GENERATORS:
+        for d, blk in q.actions[g].items():
+            pivots = _pivot_rows(got.embedding[d])
+            kept = [c for c in range(module.dims[d]) if c not in pivots]
+            lift = Mat(module.dims[d], len(kept),
+                       [[int(c == k) for k in kept]
+                        for c in range(module.dims[d])])
+            t = d + DEPTH_SHIFT[g]
+            assert blk == q.projection[t] * (module.act(g, d) * lift)
+    return got
+
+
+def _pivot_rows(embedding):
+    """The pivot coordinates of an embedding whose columns are an RREF
+    basis: the first nonzero row of each column."""
+    return {next(r for r in range(embedding.nrows) if embedding.rows[r][c])
+            for c in range(embedding.ncols)}
+
+
+_rational_tops = st.builds(
+    Weight, st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.fractions(min_value=-8, max_value=8, max_denominator=4))
+_structure_tops = st.one_of(
+    _rational_tops,
+    # integral dominant tops have proper submodules and nonzero quotients
+    st.builds(Weight, st.integers(0, 6), st.just(0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_structure_tops, st.integers(0, 6), st.randoms(use_true_random=False))
+def test_submodule_matches_solving_oracle(top, depth, rnd):
+    m = verma(top, depth)
+    for module in (m, dualize(m)):
+        _assert_submodule_matches_oracle(module, rnd)
+    sub = submodule(m, _random_generators(m, rnd))
+    _assert_submodule_matches_oracle(quotient(m, sub), rnd)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                        Fraction(-2, 3)]),
+       st.integers(-2, 1), st.integers(-2, 1),
+       st.sampled_from(["O", "Otilde"]), st.randoms(use_true_random=False))
+def test_submodule_matches_solving_oracle_on_extensions(rep, m1, m2, cat,
+                                                        rnd):
+    lam, mu = Weight(rep + 2 * m1, 0), Weight(rep + 2 * m2, 0)
+    result = ext1(lam, mu, cat, window=max(3, abs(m1 - m2) + 2))
+    for index in range(len(result.cocycles)):
+        _assert_submodule_matches_oracle(assemble_extension(result, index),
+                                         rnd)
+
+
+def _closure_by_submodule(module, generators, iacts):
+    """_closure's RowSpaces through the full Fraction route."""
+    sub, embedding = submodule_by_solving(module, generators)
+    return [structure_mod._column_space(embedding[d])
+            for d in range(module.depth + 1)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_spans_only_routes_match_full_submodules(n, monkeypatch):
+    top = Weight(n, 0)
+    hasse, filtration = hasse_diagram(top), mn_filtration(top)
+    monkeypatch.setattr(structure_mod, "_closure", _closure_by_submodule)
+    want_hasse, want_filtration = hasse_diagram(top), mn_filtration(top)
+    assert hasse.nodes == want_hasse.nodes
+    assert hasse.edges == want_hasse.edges
+    assert hasse.to_dot() == want_hasse.to_dot()
+    assert filtration.layers == want_filtration.layers
+    assert filtration.certificate == want_filtration.certificate
+    assert filtration.uniserial and want_filtration.uniserial
+
+
+# ---------------------------------------------------------------------------
+# generator and vector validation
+
+@pytest.mark.parametrize("depth, message", [
+    (9, "generator depth 9 outside the window 0..5"),
+    (-1, "generator depth -1 outside the window 0..5"),
+    (1.0, "generator depth must be an integer, got 1.0"),
+    (Fraction(3, 2), "generator depth must be an integer"),
+])
+def test_submodule_rejects_a_bad_generator_depth(depth, message):
+    m = verma(Weight(2, 0), 5)
+    with pytest.raises(ValueError, match=message):
+        submodule(m, [(depth, [1] * 6)])
+
+
+def test_submodule_rejects_a_generator_of_the_wrong_length():
+    m = verma(Weight(2, 0), 5)
+    with pytest.raises(ValueError, match="depth 2 has length 2, expected 3"):
+        submodule(m, [(2, [1, 0])])
+
+
+@pytest.mark.parametrize("depth, vec, message", [
+    (-1, [1], "depth -1 outside the window 0..4"),
+    (5, [1] * 6, "depth 5 outside the window 0..4"),
+    (2.0, [1, 0, 0], "depth must be an integer, got 2.0"),
+    (3, [1, 0], "vector at depth 3 has length 2, expected 4"),
+])
+def test_project_vector_rejects_bad_input(depth, vec, message):
+    m = verma(Weight(2, 0), 4)
+    q = quotient(m, submodule(m, [(3, [1, 0, 0, 0])]))
+    with pytest.raises(ValueError, match=message):
+        project_vector(q, depth, vec)
+
+
+def test_quotient_rejects_an_embedding_of_the_wrong_height():
+    m = verma(Weight(2, 0), 4)
+    s = submodule(m, [(3, [1, 0, 0, 0])])
+    s.embedding[3] = Mat.identity(3)
+    with pytest.raises(ValueError, match="depth 3 has 3 rows, expected 4"):
+        quotient(m, s)
+
+
+def test_generator_depth_checks_survive_python_O():
+    # under -O a depth of -1 would index the last slice
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("from takiff.modules import Weight, verma\n"
+            "from takiff.structure import submodule, quotient, "
+            "project_vector\n"
+            "m = verma(Weight(2, 0), 5)\n"
+            "for d, v in ((-1, [1]), (9, [1])):\n"
+            "    try:\n"
+            "        submodule(m, [(d, v)])\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "q = quotient(m, submodule(m, [(3, [1, 0, 0, 0])]))\n"
+            "try:\n"
+            "    project_vector(q, -1, [1])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "generator depth -1 outside the window 0..5",
+        "generator depth 9 outside the window 0..5",
+        "depth -1 outside the window 0..5"]
