@@ -39,16 +39,25 @@ cocycle files).  A solve that reads only ranks, that is ext1 and
 stabilize_ext without cocycles, lays them out deepest depth first.  Ranks
 do not depend on the order, and eliminating the deep, wide slices first
 leaves far less fill-in (measurements in BENCH_colorder.json).
+
+Both systems are assembled and eliminated on Python ints.  The action
+blocks of V and W are cleared of denominators once (N / D with N an
+integer matrix), and every equation is multiplied by L = lcm(D_V, D_W):
+an action block enters as (L / D) * N and a bracket constant c as c * L.
+A homogeneous row means the same up to a nonzero scale, so the solutions,
+pivots and ranks are those of the rational system.  The eliminated
+systems build their Fraction rows only when representatives are drawn
+(measurements in BENCH_intext.json).
 """
 
 import os
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, lcm
 
 from .algebra import (H, GENERATORS, GEN_NAMES, DEPTH_SHIFT, _BRACKET,
                       _PAIRS, exact_int)
 from .linalg import Mat, RowSpace, SparseSystem
-from .modules import Weight, simple_module
+from .modules import Weight, _integer_blocks, simple_module
 
 __all__ = [
     "Block", "block_of", "same_block", "ext1", "stabilize_ext", "ExtResult",
@@ -186,27 +195,29 @@ def _default_window(lam, mu):
                offw + _support_extent(mu), 1) + 2
 
 
-def _coset_dims_and_actions(mod, off, N):
+def _pair_on_coset(lam, mu, N):
+    """(V, offv, W, offw): V = L(lam) and W = L(mu), each truncated to its
+    part of the common coset window 0..N, with its offset there.  A
+    self-pair builds its module once."""
+    offv, offw = _coset_layout(lam, mu)
+    V = simple_module(lam, N - offv)
+    W = V if lam == mu else simple_module(mu, N - offw)
+    return V, offv, W, offw
+
+
+def _on_coset(mod, off, N, block):
+    """(dims, act): the slice dimensions of mod placed at offset off on the
+    coset window 0..N, and act[g][d] = block(g, d - off) for every slice d
+    that mod fills and g maps inside the window."""
     dims = [0] * (N + 1)
     for d in range(mod.depth + 1):
         dims[off + d] = mod.dims[d]
-    act = {g: {} for g in GENERATORS}
+    act = {}
     for g in GENERATORS:
         s = DEPTH_SHIFT[g]
-        for d in range(N + 1):
-            t = d + s
-            if dims[d] and 0 <= t <= N:
-                act[g][d] = mod.act(g, d - off)
+        act[g] = {d: block(g, d - off) for d in range(N + 1)
+                  if dims[d] and 0 <= d + s <= N}
     return dims, act
-
-
-def _pair_on_coset(lam, mu, N):
-    """(dv, av, dw, aw): slice dimensions and action blocks of V = L(lam)
-    and W = L(mu), both placed on their common coset window 0..N."""
-    offv, offw = _coset_layout(lam, mu)
-    dv, av = _coset_dims_and_actions(simple_module(lam, N - offv), offv, N)
-    dw, aw = _coset_dims_and_actions(simple_module(mu, N - offw), offw, N)
-    return dv, av, dw, aw
 
 
 def _prepare(lam, mu, category):
@@ -254,45 +265,56 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True, *,
     return result
 
 
-def _factor_terms(mat, n, scale, memo):
-    """The nonzeros (row, column, scale * value) of mat, or of the n x n
-    identity when mat is None, listed once per memo dict.  The memo also
-    keeps mat referenced, so that no other matrix can take its id."""
-    key = (id(mat), n, scale)
+def _factor_terms(block, n, scale, memo):
+    """The nonzeros (row, column, scale * value) of an integer block in the
+    sparse row form of modules._integer_blocks, or of the n x n identity
+    when block is None, listed once per memo dict.  The memo also keeps
+    block referenced, so that no other block can take its id."""
+    key = (id(block), n, scale)
     hit = memo.get(key)
     if hit is None:
-        if mat is None:
+        if block is None:
             terms = [(k, k, scale) for k in range(n)]
         else:
-            terms = [(r, c, a if scale == 1 else scale * a)
-                     for r, row in enumerate(mat.rows)
-                     for c, a in enumerate(row) if a]
-        hit = memo[key] = (mat, terms)
+            terms = [(r, c, scale * a) for r, nz in enumerate(block)
+                     for c, a in nz]
+        hit = memo[key] = (block, terms)
     return hit[1]
 
 
-def _add_product(rows, width, blk, left, right, sign, memo=None):
-    """Add the nonzeros of sign * left . X . right into the equation rows,
+def _add_product(rows, width, blk, left, right, scale, memo=None):
+    """Add the nonzeros of scale * left . X . right into the equation rows,
     where X is the unknown block blk = (offset, nrows, ncols), stored row
     major, and entry (r, c) of the product is equation rows[r * width + c].
-    A None factor is the identity; a None block is identically zero.
-    Calls that share a memo dict list each factor's nonzeros once."""
+    The factors are integer blocks in sparse row form and scale is an int,
+    so every coefficient is an int.  A None factor is the identity; a None
+    block is identically zero.  Calls that share a memo dict list each
+    factor's nonzeros once."""
     if blk is None:
         return
     off, nr, nc = blk
     if memo is None:
         memo = {}
-    # the sign rides on a factor that is not the identity, so only the
+    # the scale rides on a factor that is not the identity, so only the
     # product of two given factors multiplies per equation entry
-    lterms = _factor_terms(left, nr, sign if right is None else 1, memo)
-    rterms = _factor_terms(right, nc, 1 if right is None else sign, memo)
+    lterms = _factor_terms(left, nr, scale if right is None else 1, memo)
+    rterms = _factor_terms(right, nc, 1 if right is None else scale, memo)
     for r, i, a in lterms:
         for j, c, b in rterms:
             coef = a if right is None else b if left is None else a * b
             row = rows[r * width + c]
             idx = off + i * nc + j
-            # a first entry is stored as is: 0 + coef is a Fraction addition
-            row[idx] = row[idx] + coef if idx in row else coef
+            row[idx] = row.get(idx, 0) + coef
+
+
+def _transpose(block, ncols):
+    """The transpose of an integer block in sparse row form with ncols
+    columns, in the same form."""
+    out = [[] for _ in range(ncols)]
+    for r, nz in enumerate(block):
+        for c, a in nz:
+            out[c].append((r, a))
+    return out
 
 
 def _solve_window(lam, mu, category, N, top_first):
@@ -301,7 +323,16 @@ def _solve_window(lam, mu, category, N, top_first):
     representatives are drawn in, and then the result carries the
     eliminated systems so they can be drawn later without solving again;
     otherwise the layout is the rank-only one and the systems are dropped."""
-    dv, av, dw, aw = _pair_on_coset(lam, mu, N)
+    V, offv, W, offw = _pair_on_coset(lam, mu, N)
+    den_v, iacts_v = _integer_blocks(V)
+    den_w, iacts_w = (den_v, iacts_v) if W is V else _integer_blocks(W)
+    dv, av = _on_coset(V, offv, N, lambda g, n: iacts_v[g][n + 1])
+    dw, aw = _on_coset(W, offw, N, lambda g, n: iacts_w[g][n + 1])
+    # every equation is multiplied by L = lcm(D_V, D_W): an action block
+    # N / D of V or W enters as (L / D) * N and a bracket constant c as
+    # c * L, so the rows are int rows with the same solutions
+    L = lcm(den_v, den_w)
+    kv, kw = L // den_v, L // den_w
     gens_used = tuple(g for g in GENERATORS if not (category == "O" and g == H))
 
     # unknown layout: one block of scalars per (source depth, generator),
@@ -335,16 +366,16 @@ def _solve_window(lam, mu, category, N, top_first):
                 continue
             rows = [{} for _ in range(dw[t] * dv[d])]
             _add_product(rows, dv[d], blocks.get((b, d)),
-                         aw[a].get(d + sb), None, 1, memo)
+                         aw[a].get(d + sb), None, kw, memo)
             _add_product(rows, dv[d], blocks.get((b, d + sa)),
-                         None, av[a].get(d), -1, memo)
+                         None, av[a].get(d), -kv, memo)
             _add_product(rows, dv[d], blocks.get((a, d + sb)),
-                         None, av[b].get(d), 1, memo)
+                         None, av[b].get(d), kv, memo)
             _add_product(rows, dv[d], blocks.get((a, d)),
-                         aw[b].get(d + sa), None, -1, memo)
+                         aw[b].get(d + sa), None, -kw, memo)
             for g, coef in _BRACKET[(a, b)]:
                 _add_product(rows, dv[d], blocks.get((g, d)), None, None,
-                             -coef, memo)
+                             -coef * L, memo)
             for row in rows:
                 system.add_row(row)
     dim_z = nunk - system.rank()
@@ -360,11 +391,12 @@ def _solve_window(lam, mu, category, N, top_first):
             s = DEPTH_SHIFT[g]
             blk = blocks.get((g, d))
             if blk is not None:
-                _add_product(rows, dv[d], blk, aw[g][d].transpose(), None, 1)
+                _add_product(rows, dv[d], blk, _transpose(aw[g][d], dw[d]),
+                             None, kw)
             blk = blocks.get((g, d - s))
             if blk is not None:
                 _add_product(rows, dv[d], blk, None,
-                             av[g][d - s].transpose(), -1)
+                             _transpose(av[g][d - s], dv[d - s]), -kv)
         for row in rows:
             bsys.add_row(row)
     dim = dim_z - bsys.rank()
@@ -461,11 +493,13 @@ def assemble_extension(result, index=0):
     may be smaller than its slot: it fills the slot's top-left corner."""
     from .modules import TruncatedModule
     lam, mu, N = result.lam, result.mu, result.window
-    dv, av, dw, aw = _pair_on_coset(lam, mu, N)
+    V, offv, W, offw = _pair_on_coset(lam, mu, N)
+    dv, av = _on_coset(V, offv, N, V.act)
+    dw, aw = _on_coset(W, offw, N, W.act)
     phi = result.cocycles[index] if result.cocycles else {}
     dims = [dw[d] + dv[d] for d in range(N + 1)]
     actions = {g: {} for g in GENERATORS}
-    anchor = lam if _coset_layout(lam, mu)[0] == 0 else mu
+    anchor = lam if offv == 0 else mu
 
     def place(mat, blk, r0, c0):
         if blk is not None:

@@ -5,8 +5,9 @@ public Mat constructor coerces what it is given, and the results of Mat
 operations are built from Fractions already, so they are adopted without
 coercion.  No result shares a row list with an operand, so callers may
 write into ``mat.rows[r][c]``.  RowSpace and SparseSystem.add_row take
-ints, Fractions and floats, each converted exactly, and the rows they hand
-back are Fractions whatever they were given.
+ints, Fractions and floats, each converted exactly (SparseSystem keeps an
+int as it is), and the reduced rows they hand back are Fractions whatever
+they were given.
 
 The dense kernel skips zeros: sums, differences, scalar and matrix products
 and matvec perform Fraction arithmetic only where both operands are
@@ -17,7 +18,8 @@ this removes most of the arithmetic without changing a single result.
 Three kernels run on Python ints.  integer_product_sum sums products of
 integer matrices in sparse row form, which check_relations runs on once it
 has cleared a module's denominators.  RowSpace and SparseSystem.eliminate
-eliminate fraction-free.
+eliminate fraction-free, and the Ext solver feeds SparseSystem int rows
+assembled from cleared action blocks.
 
 There are two elimination engines, one per job:
 
@@ -34,11 +36,13 @@ There are two elimination engines, one per job:
 - SparseSystem, for the Ext cocycle systems (large, banded, homogeneous).
   It walks the columns in order and takes as pivot the row with the fewest
   nonzeros, lowest index on ties (Markowitz 1957), which keeps fill-in and
-  coefficient growth down.  Inside eliminate() it keeps each row as an
-  integer vector with no denominator, eliminates fraction-free
-  (cross-multiplying by the pivot's lead and the row's entry, each divided
-  by their gcd), and divides out a row's content only after a rescale by a
-  factor other than 1; the rows it leaves are Fractions again.
+  coefficient growth down.  eliminate() turns each row into an
+  integer vector with no denominator (an all-int row is only copied),
+  eliminates fraction-free (cross-multiplying by the pivot's lead and the
+  row's entry, each divided by their gcd), and divides out a row's content
+  only after a rescale by a factor other than 1.  It keeps the integer
+  echelon; ``rows``, the echelon as Fractions with 1 at each pivot, is
+  built when first read, which a rank-only solve never does.
 
 The pivot row never shows in a kernel basis or a reduced vector.  A column
 is a pivot column exactly when it is not a combination of the columns
@@ -432,38 +436,67 @@ class SparseSystem:
     back-substituted on demand instead; they and reduced vectors do not
     depend on the pivot rows (see the module docstring).
 
-    After eliminate(), ``rows`` has one entry per row added, in order: a
-    pivot row as Fractions with 1 at its pivot, every other row empty; and
-    ``pivot_of_col`` maps each pivot column to its row's index.
+    Before eliminate(), ``rows`` is the list of rows as added.  eliminate()
+    keeps one integer row per row added: a pivot row is a multiple of its
+    echelon row, every other row is empty; ``pivot_of_col`` maps each pivot
+    column to its row's index.  After it, ``rows`` is the echelon as
+    Fractions, each pivot row divided by its entry at the pivot.  It is
+    built on first read and kept until the next add_row, so a solve that
+    reads only rank() never builds a Fraction.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []
+        self._rows = []          # rows to eliminate, or the integer echelon
+        self._fractions = None   # the Fraction echelon, once read
         self._eliminated = False
+
+    @property
+    def rows(self):
+        """The rows still to eliminate, or after eliminate() the echelon
+        as Fractions (see the class docstring)."""
+        if not self._eliminated:
+            return self._rows
+        if self._fractions is None:
+            rows = self._rows
+            leads = {i: rows[i][col] for col, i in self.pivot_of_col.items()}
+            self._fractions = [{c: Fraction(v, leads[i])
+                                for c, v in row.items()}
+                               for i, row in enumerate(rows)]
+        return self._fractions
 
     def add_row(self, row):
         """Append a row {column: coefficient}; after eliminate() the next
-        query eliminates again, with the echelon rows plus this one.  A
-        column outside 0..ncols-1 raises ValueError."""
-        row = {c: v if type(v) is Fraction else Fraction(v)
-               for c, v in row.items() if v}
-        if row:
-            if min(row) < 0 or max(row) >= self.ncols:
-                raise ValueError("row columns %s outside 0..%d"
-                                 % (sorted(row), self.ncols - 1))
-            self.rows.append(row)
+        query eliminates again, with the echelon rows plus this one.  An int
+        coefficient is kept as it is, and a Fraction or float is converted
+        exactly.  A column that is not an int in 0..ncols-1 raises
+        ValueError."""
+        kept = {}
+        ncols = self.ncols
+        for c, v in row.items():
+            if type(c) is not int or not 0 <= c < ncols:
+                raise ValueError("row column %r is not an int in 0..%d"
+                                 % (c, ncols - 1))
+            if v:
+                kept[c] = v if type(v) is int or type(v) is Fraction \
+                    else Fraction(v)
+        if kept:
+            self._rows.append(kept)
+            self._fractions = None
             self._eliminated = False
 
     @staticmethod
     def _to_integer_row(row):
         """A primitive integer dict that is a positive multiple of the
-        rational row."""
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = {c: v.numerator * (den // v.denominator)
-                for c, v in row.items()}
+        row; an all-int row is only copied and divided by its content."""
+        dens = [v.denominator for v in row.values() if type(v) is not int]
+        if dens:
+            den = lcm(*dens)
+            ints = {c: v * den if type(v) is int
+                    else v.numerator * (den // v.denominator)
+                    for c, v in row.items()}
+        else:
+            ints = dict(row)
         _divide_content(ints)
         return ints
 
@@ -480,7 +513,7 @@ class SparseSystem:
         dividing out the row's content."""
         if self._eliminated:
             return
-        rows = [self._to_integer_row(r) for r in self.rows]
+        rows = [self._to_integer_row(r) for r in self._rows]
         # touching[c] holds every row with a nonzero in column c, and may
         # still hold rows whose entry there has since cancelled: a row is
         # added once, when its entry in c first appears.  Fill-in lands only
@@ -528,9 +561,8 @@ class SparseSystem:
                             del row[c]
                 if a != 1:
                     _divide_content(row)
-        leads = {i: rows[i][col] for col, i in self.pivot_of_col.items()}
-        self.rows = [{c: Fraction(v, leads.get(i, 1)) for c, v in row.items()}
-                     for i, row in enumerate(rows)]
+        self._rows = rows
+        self._fractions = None
         self._eliminated = True
 
     def rank(self):
@@ -539,13 +571,18 @@ class SparseSystem:
 
     def reduce_vector(self, vec):
         """Reduce a dense vector modulo the row space (zeros all pivot
-        coordinates); the input list is not modified."""
+        coordinates); the input list is not modified.  Raises ValueError
+        unless vec has ncols entries."""
+        if len(vec) != self.ncols:
+            raise ValueError("vector of length %d for a system of %d columns"
+                             % (len(vec), self.ncols))
         self.eliminate()
+        rows = self.rows
         v = list(vec)
         for pc in sorted(self.pivot_of_col):
             if v[pc]:
                 factor = v[pc]
-                for c, val in self.rows[self.pivot_of_col[pc]].items():
+                for c, val in rows[self.pivot_of_col[pc]].items():
                     v[c] -= factor * val
         return v
 
@@ -554,13 +591,14 @@ class SparseSystem:
         column in increasing column order, yielded one at a time so that a
         caller who needs only the first few builds only those."""
         self.eliminate()
+        rows = self.rows
         pivot_cols = sorted(self.pivot_of_col)
         for free in range(self.ncols):
             if free in self.pivot_of_col:
                 continue
             v = {free: _ONE}
             for pc in reversed(pivot_cols):
-                row = self.rows[self.pivot_of_col[pc]]
+                row = rows[self.pivot_of_col[pc]]
                 s = _ZERO
                 for c, val in row.items():
                     if c != pc and c in v:

@@ -4,6 +4,7 @@ stabilization, assembled extensions, and quivers."""
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takiff import ext as ext_mod
-from takiff.algebra import GEN_NAMES, H, HBAR
+from takiff.algebra import DEPTH_SHIFT, GENERATORS, GEN_NAMES, H, HBAR
 from takiff.cli import main
 from takiff.linalg import Mat, SparseSystem
-from takiff.modules import Weight, category_check, check_relations
+from takiff.modules import (TruncatedModule, Weight, _integer_blocks,
+                            category_check, check_relations)
 from takiff.ext import (Block, ExtResult, StabilizationError,
                         assemble_extension, block_of, depth_cap, ext1,
                         quiver, same_block, stabilize_ext)
@@ -252,12 +254,22 @@ def test_deep_window_rank_only_solve(cat, want):
 
 
 # ---------------------------------------------------------------------------
-# the Kronecker assembler: rows of sign * L . X . R in the unknowns of X
+# the Kronecker assembler: rows of scale * L . X . R in the unknowns of X
 
 def _random_mat(rng, nrows, ncols):
     return Mat(nrows, ncols, [[Fraction(rng.choice([0, 0, 1, -2, 3]),
                                         rng.choice([1, 2, 3]))
                                for _ in range(ncols)] for _ in range(nrows)])
+
+
+def _cleared(mat):
+    """(D, N) with mat = N / D, N an integer block in sparse row form; the
+    identity (None) is (1, None)."""
+    if mat is None:
+        return 1, None
+    den = lcm(*[x.denominator for row in mat.rows for x in row])
+    return den, [[(j, int(x * den)) for j, x in enumerate(row) if x]
+                 for row in mat.rows]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -272,26 +284,205 @@ def test_add_product_matches_mat_products(seed, left_id, right_id):
     right = None if right_id else _random_mat(rng, nc, rng.randint(0, 4))
     p = nr if left is None else left.nrows
     q = nc if right is None else right.ncols
-    sign = rng.choice([1, -1, Fraction(-2)])
+    sign = rng.choice([1, -1, -2])
     off = rng.randint(0, 5)
     X = _random_mat(rng, nr, nc)
     x = [Fraction(0)] * off + [a for row in X.rows for a in row]
+    # the factors enter as integer blocks N = D * factor, so the rows are
+    # those of L * sign * left . X . right with L the product of the D's
+    (dl, nl), (dr, nrt) = _cleared(left), _cleared(right)
+    L = dl * dr
 
     rows = [{} for _ in range(p * q)]
-    ext_mod._add_product(rows, q, (off, nr, nc), left, right, sign)
-    ext_mod._add_product(rows, q, None, left, right, sign)  # zero block
+    ext_mod._add_product(rows, q, (off, nr, nc), nl, nrt, sign)
+    ext_mod._add_product(rows, q, None, nl, nrt, sign)  # zero block
     memo = {}
     for _ in range(2):  # the second pass reads both factors from the memo
         again = [{} for _ in range(p * q)]
-        ext_mod._add_product(again, q, (off, nr, nc), left, right, sign, memo)
+        ext_mod._add_product(again, q, (off, nr, nc), nl, nrt, sign, memo)
         assert again == rows
 
     want = X if left is None else left * X
     want = want if right is None else want * right
     got = [sum((coef * x[idx] for idx, coef in row.items()), Fraction(0))
            for row in rows]
-    assert got == [sign * a for row in want.rows for a in row]
+    assert got == [L * sign * a for row in want.rows for a in row]
+    assert all(type(coef) is int for row in rows for coef in row.values())
     assert all(0 <= idx - off < nr * nc for row in rows for idx in row)
+
+
+# ---------------------------------------------------------------------------
+# the integer assembly against the Fraction assembler it replaced
+
+def factor_terms_fraction(mat, n, scale, memo):
+    """The nonzeros (row, column, scale * value) of mat, or of the n x n
+    identity when mat is None, listed once per memo dict.  The memo also
+    keeps mat referenced, so that no other matrix can take its id."""
+    key = (id(mat), n, scale)
+    hit = memo.get(key)
+    if hit is None:
+        if mat is None:
+            terms = [(k, k, scale) for k in range(n)]
+        else:
+            terms = [(r, c, a if scale == 1 else scale * a)
+                     for r, row in enumerate(mat.rows)
+                     for c, a in enumerate(row) if a]
+        hit = memo[key] = (mat, terms)
+    return hit[1]
+
+
+def add_product_fraction(rows, width, blk, left, right, sign, memo=None):
+    """The Fraction assembler the solver used before it moved to integers:
+    add the nonzeros of sign * left . X . right, left and right Mats or
+    None for the identity, into the equation rows.  An independent oracle
+    for the integer assembly."""
+    if blk is None:
+        return
+    off, nr, nc = blk
+    if memo is None:
+        memo = {}
+    lterms = factor_terms_fraction(left, nr, sign if right is None else 1,
+                                   memo)
+    rterms = factor_terms_fraction(right, nc, 1 if right is None else sign,
+                                   memo)
+    for r, i, a in lterms:
+        for j, c, b in rterms:
+            coef = a if right is None else b if left is None else a * b
+            row = rows[r * width + c]
+            idx = off + i * nc + j
+            row[idx] = row[idx] + coef if idx in row else coef
+
+
+def _fraction_blocks(mod):
+    """modules._integer_blocks in the form the Fraction assembler reads:
+    D = 1 and the Mat blocks themselves."""
+    return 1, {g: [None] + [mod.act(g, n) for n in range(mod.depth + 1)]
+               for g in GENERATORS}
+
+
+def _solve_recording(lam, mu, cat, N, top_first, fraction):
+    """One window's result and its (cocycle, coboundary) systems, assembled
+    from integer blocks or, with fraction, by the Fraction assembler."""
+    systems = []
+
+    class Recording(SparseSystem):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            systems.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ext_mod, "SparseSystem", Recording)
+        if fraction:
+            mp.setattr(ext_mod, "_integer_blocks", _fraction_blocks)
+            mp.setattr(ext_mod, "_add_product", add_product_fraction)
+            mp.setattr(ext_mod, "_transpose",
+                       lambda mat, ncols: mat.transpose())
+        r = ext_mod._solve_window(lam, mu, cat, N, top_first)
+        if top_first:
+            ext_mod._add_representatives(r)
+    return r, systems
+
+
+def _assert_assemblers_agree(lam, mu, cat, window, top_first):
+    offv, offw = ext_mod._coset_layout(lam, mu)
+    N = max(window, offv + 2, offw + 2)
+    got, systems = _solve_recording(lam, mu, cat, N, top_first, False)
+    want, oracle = _solve_recording(lam, mu, cat, N, top_first, True)
+    assert len(systems) == len(oracle) == 2
+    for s, o in zip(systems, oracle):
+        assert s.pivot_of_col == o.pivot_of_col
+        assert s.rows == o.rows
+        assert all(type(v) is Fraction for r in s.rows for v in r.values())
+    assert got.to_json() == want.to_json()
+    assert (got.dims_v, got.dims_w) == (want.dims_v, want.dims_w)
+
+
+_LAYOUTS = st.booleans()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_COSETS, st.integers(-2, 1), st.integers(-2, 1), _CATS,
+       st.integers(3, 6), _LAYOUTS)
+def test_integer_assembly_matches_fraction_on_coset_pairs(rep, m1, m2, cat,
+                                                          window, top_first):
+    _assert_assemblers_agree(Weight(rep + 2 * m1, 0), Weight(rep + 2 * m2, 0),
+                             cat, window, top_first)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_RATIONALS, _RATIONALS.filter(bool), _CATS, st.integers(3, 6),
+       _LAYOUTS)
+def test_integer_assembly_matches_fraction_on_nondegenerate_weights(
+        h, hbar, cat, window, top_first):
+    lam = Weight(h, hbar)
+    _assert_assemblers_agree(lam, lam, cat, window, top_first)
+
+
+def _rescaled(mod, seed):
+    """mod in a basis rescaled vector by vector: an isomorphic module whose
+    action blocks have other denominators."""
+    rng = random.Random(seed)
+    scales = [[rng.choice([1, 2, Fraction(1, 3), Fraction(-3, 2)])
+               for _ in range(k)] for k in mod.dims]
+    actions = {}
+    for g in GENERATORS:
+        actions[g] = {}
+        for n, blk in mod.actions.get(g, {}).items():
+            t = n + DEPTH_SHIFT[g]
+            actions[g][n] = Mat(blk.nrows, blk.ncols, [
+                [a * scales[n][j] / scales[t][i] for j, a in enumerate(row)]
+                for i, row in enumerate(blk.rows)])
+    return TruncatedModule(mod.top, mod.depth, list(mod.dims), actions,
+                           complete=mod.complete, label=mod.label)
+
+
+@pytest.mark.parametrize("lam, mu, cat", [
+    (Weight(3, 1), Weight(3, 1), "O"),
+    (Weight(0, 0), Weight(-2, 0), "Otilde"),
+    (Weight(Fraction(1, 2), 0), Weight(Fraction(-3, 2), 0), "O")])
+@pytest.mark.parametrize("top_first", [False, True])
+def test_integer_assembly_scales_unequal_denominators(lam, mu, cat,
+                                                      top_first):
+    # in one block V and W clear to the same D, so L / D is 1; a rescaled
+    # W has another D, and each of its blocks enters scaled by L / D_W
+    pair = ext_mod._pair_on_coset
+
+    def rescaled_pair(lam, mu, N):
+        V, offv, W, offw = pair(lam, mu, N)
+        return V, offv, _rescaled(W, N), offw
+
+    want = ext1(lam, mu, cat, window=4, with_cocycles=False).dim
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ext_mod, "_pair_on_coset", rescaled_pair)
+        V, _, W, _ = ext_mod._pair_on_coset(lam, mu, 4)
+        assert _integer_blocks(V)[0] != _integer_blocks(W)[0]
+        assert ext1(lam, mu, cat, window=4, with_cocycles=False).dim == want
+        _assert_assemblers_agree(lam, mu, cat, 4, top_first)
+
+
+def test_rank_only_solve_stays_on_ints(monkeypatch):
+    # the (3, 1) Verma's action blocks hold Fractions; its systems still
+    # get int coefficients only, and a rank-only solve never builds the
+    # Fraction echelon
+    lam = Weight(3, 1)
+    types, systems = set(), []
+    add_row = SparseSystem.add_row
+
+    def recording(self, row):
+        types.update(map(type, row.values()))
+        if self not in systems:
+            systems.append(self)
+        add_row(self, row)
+
+    monkeypatch.setattr(SparseSystem, "add_row", recording)
+    r = ext1(lam, lam, "O", window=5, with_cocycles=False)
+    assert types == {int}
+    assert len(systems) == 2
+    assert all(s._fractions is None for s in systems)
+    monkeypatch.undo()
+    want, _ = _solve_recording(lam, lam, "O", 5, False, True)
+    assert r.to_json() == want.to_json()
+    assert r.dim == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ echelon solver used by the cocycle systems."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -300,9 +301,73 @@ def test_sparse_empty_system():
 def test_add_row_rejects_a_column_outside_the_system(col):
     # a negative column would otherwise index the column list from its end
     sysm = SparseSystem(3)
-    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+    with pytest.raises(ValueError, match=r"column %d is not an int in 0\.\.2"
+                       % col):
         sysm.add_row({0: 1, col: 2})
     assert sysm.rows == []
+
+
+@pytest.mark.parametrize("col", [1.0, Fraction(1), "1", True, None])
+def test_add_row_rejects_a_column_that_is_not_an_int(col):
+    # a float key used to be accepted, and the next rank() failed with a
+    # TypeError deep inside eliminate
+    sysm = SparseSystem(3)
+    with pytest.raises(ValueError, match=r"column %s is not an int"
+                       % re.escape(repr(col))):
+        sysm.add_row({0: 1, col: 2})
+    assert sysm.rows == [] and sysm.rank() == 0
+
+
+@pytest.mark.parametrize("vec", [[1, 2], [1, 2, 3, 4], []])
+def test_reduce_vector_rejects_a_vector_of_the_wrong_length(vec):
+    # [1, 2] used to come back as [0, 1], and the extra entries of
+    # [1, 2, 3, 4] passed through untouched
+    sysm = SparseSystem(3)
+    sysm.add_row({0: 1, 1: 1})
+    with pytest.raises(ValueError, match="length %d for a system of 3"
+                       % len(vec)):
+        sysm.reduce_vector(vec)
+
+
+def test_sparse_input_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from takiff.linalg import SparseSystem\n"
+            "s = SparseSystem(3)\n"
+            "for call, arg in ((s.add_row, {1.0: 1}), (s.add_row, {3: 1}),\n"
+            "                  (s.reduce_vector, [1, 2])):\n"
+            "    try:\n"
+            "        call(arg)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "row column 1.0 is not an int in 0..2",
+        "row column 3 is not an int in 0..2",
+        "vector of length 2 for a system of 3 columns"]
+
+
+def test_rows_are_as_added_until_eliminate_then_fractions():
+    sysm = SparseSystem(3)
+    sysm.add_row({0: 2, 1: 4, 2: 0})
+    sysm.add_row({0: Fraction(1, 3), 2: 0.5})
+    # ints stay ints, a float is converted exactly, zeros are dropped
+    assert sysm.rows == [{0: 2, 1: 4}, {0: Fraction(1, 3), 2: Fraction(1, 2)}]
+    assert [type(v) for v in sysm.rows[0].values()] == [int, int]
+    assert sysm.rank() == 2
+    assert sysm.rows == [{0: Fraction(1), 1: Fraction(2)},
+                         {1: Fraction(1), 2: Fraction(-3, 4)}]
+    assert all(type(v) is Fraction for r in sysm.rows for v in r.values())
+    # a row added after eliminate joins the echelon rows, and the next
+    # query eliminates them together
+    sysm.add_row({2: 7})
+    assert len(sysm.rows) == 3
+    assert sysm.rank() == 3
+    assert sysm.rows == [{0: Fraction(1), 1: Fraction(2)},
+                         {1: Fraction(1), 2: Fraction(-3, 4)},
+                         {2: Fraction(1)}]
 
 
 def test_add_row_after_eliminate_is_not_ignored():
@@ -397,23 +462,32 @@ def _assert_same_echelon(sysm, rows):
     assert all(type(v) is Fraction for r in sysm.rows for v in r.values())
 
 
+def _int_multiple(row):
+    """The row times the lcm of its denominators, with int entries."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {c: int(v * den) for c, v in row.items()}
+
+
 @pytest.mark.parametrize("m,n", [(4, 4), (8, 5), (5, 9), (12, 12), (20, 8)])
 def test_sparse_eliminate_matches_fraction_reference(m, n):
+    # each case goes in twice: as drawn, and with every row an int multiple
+    # of itself, the form the Ext assembly produces; the echelon is the same
     rng = random.Random(100 * m + n)
     for _ in range(40):
         rows = _random_sparse_rows(rng, m, n)
-        sysm = SparseSystem(n)
-        for row in rows:
-            sysm.add_row(row)
-        sysm.eliminate()
-        _assert_same_echelon(sysm, rows)
-        # add_row after eliminate: the echelon rows plus the new ones
-        echelon = [dict(r) for r in sysm.rows]
         extra = _random_sparse_rows(rng, rng.randrange(1, 4), n)
-        for row in extra:
-            sysm.add_row(row)
-        sysm.eliminate()
-        _assert_same_echelon(sysm, echelon + extra)
+        for feed in (dict, _int_multiple):
+            sysm = SparseSystem(n)
+            for row in rows:
+                sysm.add_row(feed(row))
+            sysm.eliminate()
+            _assert_same_echelon(sysm, rows)
+            # add_row after eliminate: the echelon rows plus the new ones
+            echelon = [dict(r) for r in sysm.rows]
+            for row in extra:
+                sysm.add_row(feed(row))
+            sysm.eliminate()
+            _assert_same_echelon(sysm, echelon + extra)
 
 
 # ---------------------------------------------------------------------------
