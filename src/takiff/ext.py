@@ -45,9 +45,10 @@ blocks of V and W are cleared of denominators once (N / D with N an
 integer matrix), and every equation is multiplied by L = lcm(D_V, D_W):
 an action block enters as (L / D) * N and a bracket constant c as c * L.
 A homogeneous row means the same up to a nonzero scale, so the solutions,
-pivots and ranks are those of the rational system.  The eliminated
-systems build their Fraction rows only when representatives are drawn
-(measurements in BENCH_intext.json).
+pivots and ranks are those of the rational system (measurements in
+BENCH_intext.json).  The eliminated systems hold only their integer
+echelons; representatives are back-substituted through them, so Fractions
+appear only in the kernel vectors and the reduced vectors drawn.
 """
 
 import os
@@ -57,7 +58,7 @@ from math import floor, lcm
 from .algebra import (H, GENERATORS, GEN_NAMES, DEPTH_SHIFT, _BRACKET,
                       _PAIRS, exact_int)
 from .linalg import Mat, RowSpace, SparseSystem
-from .modules import Weight, _integer_blocks, simple_module
+from .modules import Weight, _integer_blocks, _blocks_to_json, simple_module
 
 __all__ = [
     "Block", "block_of", "same_block", "ext1", "stabilize_ext", "ExtResult",
@@ -143,11 +144,7 @@ class ExtResult:
         for phi in self.cocycles:
             entry = {}
             for gname, blocks in phi.items():
-                out = []
-                for d in sorted(blocks):
-                    ents = blocks[d].nonzero_entries()
-                    if ents:
-                        out.append({"from_depth": d, "entries": ents})
+                out = _blocks_to_json(sorted(blocks.items()))
                 if out:
                     entry[gname] = out
             cocycles.append(entry)

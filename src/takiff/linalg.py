@@ -1,12 +1,12 @@
 """Dense and sparse exact linear algebra over the rationals.
 
-Every entry a caller sees is a fractions.Fraction, never an int.  The
-public Mat constructor coerces what it is given, and the results of Mat
+Every entry of a Mat is a fractions.Fraction, never an int.  The public
+Mat constructor coerces what it is given, and the results of Mat
 operations are built from Fractions already, so they are adopted without
 coercion.  No result shares a row list with an operand, so callers may
 write into ``mat.rows[r][c]``.  RowSpace and SparseSystem.add_row take
-ints, Fractions and floats, each converted exactly (SparseSystem keeps an
-int as it is), and the reduced rows they hand back are Fractions whatever
+ints, Fractions and floats, each converted exactly, and the reduced rows,
+kernel vectors and reduced vectors they hand back are Fractions whatever
 they were given.
 
 The dense kernel skips zeros: sums, differences, scalar and matrix products
@@ -17,32 +17,33 @@ this removes most of the arithmetic without changing a single result.
 
 Three kernels run on Python ints.  integer_product_sum sums products of
 integer matrices in sparse row form, which check_relations runs on once it
-has cleared a module's denominators.  RowSpace and SparseSystem.eliminate
-eliminate fraction-free, and the Ext solver feeds SparseSystem int rows
-assembled from cleared action blocks.
+has cleared a module's denominators.  RowSpace and SparseSystem eliminate
+fraction-free, and the Ext solver feeds SparseSystem int rows assembled
+from cleared action blocks.
 
-There are two elimination engines, one per job:
+There are two elimination engines, one per job, and the only state of
+each is a list of integer rows: an added vector or row is cleared of
+denominators first, by _integer_vector.
 
 - RowSpace, for the slices of a module (small dense matrices, a depth-20
-  Verma slice is 21 columns wide).  It is incremental Gauss-Jordan on
-  primitive integer rows: an added vector is cleared of denominators,
-  reduced by the rows so far (scaled once by the lcm of the leads it
-  uses), divided by its content and back-substituted into the other rows
-  as row <- a * row - b * v with a and b divided by their gcd.  Each row is
-  then the canonical RREF row times its lead, and ``rows``, the Fraction
-  RREF, is built on demand and kept until the space grows.  rref, rank,
-  kernel_basis and solve_columns feed their rows into one; the submodule
-  closure of the structure module feeds it integer vectors directly.
+  Verma slice is 21 columns wide).  It is incremental Gauss-Jordan: an
+  added vector is reduced by the rows so far (scaled once by the lcm of
+  the leads it uses), divided by its content and back-substituted into the
+  other rows as row <- a * row - b * v with a and b divided by their gcd.
+  Each row is then the canonical RREF row times its lead, and ``rows``
+  divides each by its lead, building the Fraction RREF anew at each read.
+  rref, kernel_basis and solve_columns feed their rows into one; the
+  submodule closure of the structure module feeds it integer vectors
+  directly.
 - SparseSystem, for the Ext cocycle systems (large, banded, homogeneous).
   It walks the columns in order and takes as pivot the row with the fewest
   nonzeros, lowest index on ties (Markowitz 1957), which keeps fill-in and
-  coefficient growth down.  eliminate() turns each row into an
-  integer vector with no denominator (an all-int row is only copied),
-  eliminates fraction-free (cross-multiplying by the pivot's lead and the
-  row's entry, each divided by their gcd), and divides out a row's content
-  only after a rescale by a factor other than 1.  It keeps the integer
-  echelon; ``rows``, the echelon as Fractions with 1 at each pivot, is
-  built when first read, which a rank-only solve never does.
+  coefficient growth down.  eliminate() works fraction-free in place
+  (cross-multiplying by the pivot's lead and the row's entry, each divided
+  by their gcd), and divides out a row's content only after a rescale by a
+  factor other than 1.  Kernel vectors and reduced vectors are
+  back-substituted through the integer echelon, dividing by each pivot
+  row's entry at its pivot, so a rank-only solve builds no Fraction.
 
 The pivot row never shows in a kernel basis or a reduced vector.  A column
 is a pivot column exactly when it is not a combination of the columns
@@ -117,9 +118,6 @@ class Mat:
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def _same_shape(self, other, op):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -256,10 +254,6 @@ def rref(mat):
     return space.rows, space.pivots
 
 
-def rank(mat):
-    return len(rref(mat)[1])
-
-
 def kernel_basis(mat):
     """Basis of {v : mat @ v = 0}, one vector per free column, deterministic.
 
@@ -304,44 +298,51 @@ def solve_columns(A, B):
     return X
 
 
-def _integer_vector(vec, ncols):
-    """The entries of vec times the least common denominator of its nonzero
-    entries, as ints: a positive multiple of vec.  Entries that are not
-    Fractions are converted exactly first (an int as itself, a float as the
-    binary fraction it stores).  Raises ValueError unless vec has ncols
-    entries."""
-    if len(vec) != ncols:
-        raise ValueError("vector of length %d for a space of %d columns"
-                         % (len(vec), ncols))
-    v = [x if type(x) is Fraction else Fraction(x) for x in vec]
-    den = lcm(*[x.denominator for x in v if x])
-    return [x.numerator * (den // x.denominator) if x else 0 for x in v]
+def _integer_vector(values):
+    """The values times the least common denominator of those that are not
+    ints, as a list of ints: a positive multiple of them.  An int is kept as
+    it is, a Fraction or float converted exactly (a float as the binary
+    fraction it stores), and a list of ints comes back as a copy."""
+    v = [x if type(x) is int or type(x) is Fraction else Fraction(x)
+         for x in values]
+    dens = [x.denominator for x in v if type(x) is not int]
+    if not dens:
+        return v
+    den = lcm(*dens)
+    return [x * den if type(x) is int
+            else x.numerator * (den // x.denominator) for x in v]
 
 
 class RowSpace:
     """An incrementally built row space in RREF, with membership testing.
 
-    Inside, every row is a primitive integer vector (coprime entries,
-    positive lead) that is zero at the pivot columns of the other rows: the
-    canonical RREF row times its lead.  ``rows`` divides each row by its
-    lead and is rebuilt only after the space grows.  The basis it exposes
-    is the canonical RREF basis of the span, so two RowSpaces over the same
-    subspace expose identical bases no matter the insertion order.
+    Its only state is one primitive integer vector (coprime entries,
+    positive lead) per pivot, zero at the pivot columns of the other rows:
+    the canonical RREF row times its lead.  ``rows`` divides each row by
+    its lead.  The basis it exposes is the canonical RREF basis of the
+    span, so two RowSpaces over the same subspace expose identical bases no
+    matter the insertion order.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = []   # pivot columns, increasing
         self._ints = []    # primitive integer rows, one per pivot
-        self._rows = []    # the Fraction RREF, or None until rebuilt
 
     @property
     def rows(self):
-        """The reduced rows as Fractions, sorted by pivot column."""
-        if self._rows is None:
-            self._rows = [[Fraction(x, r[p]) if x else _ZERO for x in r]
-                          for r, p in zip(self._ints, self.pivots)]
-        return self._rows
+        """The reduced rows as Fractions, sorted by pivot column: a new
+        list of new rows at each read."""
+        return [[Fraction(x, r[p]) if x else _ZERO for x in r]
+                for r, p in zip(self._ints, self.pivots)]
+
+    def _integers(self, vec):
+        """_integer_vector of vec; raises ValueError unless vec has ncols
+        entries."""
+        if len(vec) != self.ncols:
+            raise ValueError("vector of length %d for a space of %d columns"
+                             % (len(vec), self.ncols))
+        return _integer_vector(vec)
 
     def _reduce(self, v):
         """A new integer vector: L * v minus the multiples of the rows that
@@ -362,7 +363,7 @@ class RowSpace:
     def add(self, vec):
         """Insert a vector of ints, Fractions or floats; returns True if it
         enlarged the space."""
-        return self._add_integer(_integer_vector(vec, self.ncols))
+        return self._add_integer(self._integers(vec))
 
     def _add_integer(self, vec):
         """add() for a list of ncols ints, which is neither kept nor
@@ -394,11 +395,10 @@ class RowSpace:
         idx = bisect_left(self.pivots, p)
         self._ints.insert(idx, w)
         self.pivots.insert(idx, p)
-        self._rows = None
         return True
 
     def contains(self, vec):
-        return not any(self._reduce(_integer_vector(vec, self.ncols)))
+        return not any(self._reduce(self._integers(vec)))
 
     def contains_space(self, other):
         return all(not any(self._reduce(r)) for r in other._ints)
@@ -407,7 +407,7 @@ class RowSpace:
         return len(self.pivots)
 
     def basis(self):
-        return [list(r) for r in self.rows]
+        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -430,75 +430,47 @@ class SparseSystem:
 
     eliminate() walks the columns in order and takes as pivot the row with
     the fewest nonzeros, lowest index on ties.  It is forward elimination
-    only (row echelon, pivot rows normalized but never revisited): these
-    systems are banded along the depth grading and full back-substitution
-    during elimination would destroy that locality.  Nullspace vectors are
+    only (row echelon, pivot rows never revisited): these systems are
+    banded along the depth grading and full back-substitution during
+    elimination would destroy that locality.  Nullspace vectors are
     back-substituted on demand instead; they and reduced vectors do not
     depend on the pivot rows (see the module docstring).
 
-    Before eliminate(), ``rows`` is the list of rows as added.  eliminate()
-    keeps one integer row per row added: a pivot row is a multiple of its
-    echelon row, every other row is empty; ``pivot_of_col`` maps each pivot
-    column to its row's index.  After it, ``rows`` is the echelon as
-    Fractions, each pivot row divided by its entry at the pivot.  It is
-    built on first read and kept until the next add_row, so a solve that
-    reads only rank() never builds a Fraction.
+    ``rows`` holds integer rows only.  add_row appends a primitive one;
+    eliminate() turns the list in place into the echelon, one row per row
+    added: a pivot row is an integer multiple of the echelon row with 1 at
+    its pivot, every other row is empty, and ``pivot_of_col`` maps each
+    pivot column to its row's index.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self._rows = []          # rows to eliminate, or the integer echelon
-        self._fractions = None   # the Fraction echelon, once read
+        self.rows = []
         self._eliminated = False
 
-    @property
-    def rows(self):
-        """The rows still to eliminate, or after eliminate() the echelon
-        as Fractions (see the class docstring)."""
-        if not self._eliminated:
-            return self._rows
-        if self._fractions is None:
-            rows = self._rows
-            leads = {i: rows[i][col] for col, i in self.pivot_of_col.items()}
-            self._fractions = [{c: Fraction(v, leads[i])
-                                for c, v in row.items()}
-                               for i, row in enumerate(rows)]
-        return self._fractions
-
     def add_row(self, row):
-        """Append a row {column: coefficient}; after eliminate() the next
-        query eliminates again, with the echelon rows plus this one.  An int
-        coefficient is kept as it is, and a Fraction or float is converted
-        exactly.  A column that is not an int in 0..ncols-1 raises
-        ValueError."""
-        kept = {}
+        """Append a row {column: coefficient} as a primitive integer row,
+        a positive multiple of it with its zeros dropped; after eliminate()
+        the next query eliminates again, with the echelon rows plus this
+        one.  Coefficients may be ints, Fractions or floats.  A column that
+        is not an int in 0..ncols-1 raises ValueError."""
         ncols = self.ncols
+        kept = {}
+        cleared = True
         for c, v in row.items():
             if type(c) is not int or not 0 <= c < ncols:
                 raise ValueError("row column %r is not an int in 0..%d"
                                  % (c, ncols - 1))
             if v:
-                kept[c] = v if type(v) is int or type(v) is Fraction \
-                    else Fraction(v)
+                kept[c] = v
+                if type(v) is not int:
+                    cleared = False
         if kept:
-            self._rows.append(kept)
-            self._fractions = None
+            if not cleared:
+                kept = dict(zip(kept, _integer_vector(kept.values())))
+            _divide_content(kept)
+            self.rows.append(kept)
             self._eliminated = False
-
-    @staticmethod
-    def _to_integer_row(row):
-        """A primitive integer dict that is a positive multiple of the
-        row; an all-int row is only copied and divided by its content."""
-        dens = [v.denominator for v in row.values() if type(v) is not int]
-        if dens:
-            den = lcm(*dens)
-            ints = {c: v * den if type(v) is int
-                    else v.numerator * (den // v.denominator)
-                    for c, v in row.items()}
-        else:
-            ints = dict(row)
-        _divide_content(ints)
-        return ints
 
     def eliminate(self):
         """Row-echelon pass in column order.  Each column's pivot is the
@@ -506,14 +478,14 @@ class SparseSystem:
         (Markowitz), which keeps fill-in and coefficient growth small.
 
         The system is homogeneous, so a row matters only up to scale: the
-        arithmetic runs on integer rows with no denominator, and a row
-        becomes a * row - b * pivot with a = lead / g, b = factor / g,
+        arithmetic runs in place on the integer rows, and a row becomes
+        a * row - b * pivot with a = lead / g, b = factor / g,
         g = gcd(lead, factor).  With a = 1 (after folding a sign into b) the
-        row is updated in place; only a rescale by |a| > 1 is followed by
-        dividing out the row's content."""
+        row is updated entry by entry; only a rescale by |a| > 1 is followed
+        by dividing out the row's content."""
         if self._eliminated:
             return
-        rows = [self._to_integer_row(r) for r in self._rows]
+        rows = self.rows
         # touching[c] holds every row with a nonzero in column c, and may
         # still hold rows whose entry there has since cancelled: a row is
         # added once, when its entry in c first appears.  Fill-in lands only
@@ -561,8 +533,6 @@ class SparseSystem:
                             del row[c]
                 if a != 1:
                     _divide_content(row)
-        self._rows = rows
-        self._fractions = None
         self._eliminated = True
 
     def rank(self):
@@ -581,8 +551,9 @@ class SparseSystem:
         v = list(vec)
         for pc in sorted(self.pivot_of_col):
             if v[pc]:
-                factor = v[pc]
-                for c, val in rows[self.pivot_of_col[pc]].items():
+                row = rows[self.pivot_of_col[pc]]
+                factor = Fraction(v[pc], row[pc])
+                for c, val in row.items():
                     v[c] -= factor * val
         return v
 
@@ -602,9 +573,9 @@ class SparseSystem:
                 s = _ZERO
                 for c, val in row.items():
                     if c != pc and c in v:
-                        s += val * v[c]
+                        s += v[c] * val
                 if s:
-                    v[pc] = -s
+                    v[pc] = -s / row[pc]
             dense = [_ZERO] * self.ncols
             for c, val in v.items():
                 dense[c] = val

@@ -471,7 +471,7 @@ def _scalar_matrix_defect(mat, scalar):
 
 
 def _is_nilpotent(mat):
-    p = mat.copy()
+    p = mat
     for _ in range(mat.nrows):
         if p.is_zero():
             return True
@@ -517,7 +517,7 @@ def category_check(module, flavor="O"):
     or the relaxed one ("Otilde": both h and hbar only generalized)."""
     if flavor == "O":
         return is_weight_diagonal(module) and hbar_is_nilpotent(module)
-    if flavor in ("Otilde", "~O", "O~"):
+    if flavor == "Otilde":
         return h_is_nilpotent(module) and hbar_is_nilpotent(module)
     raise ValueError("unknown category flavor: %r" % (flavor,))
 
@@ -525,15 +525,23 @@ def category_check(module, flavor="O"):
 # ---------------------------------------------------------------------------
 # serialization
 
+def _blocks_to_json(blocks):
+    """The JSON form of a map's blocks, given as (from_depth, Mat) pairs:
+    one {"from_depth", "entries"} record per block with a nonzero entry, in
+    the order given, its entries as Mat.nonzero_entries lists them."""
+    out = []
+    for d, mat in blocks:
+        entries = mat.nonzero_entries()
+        if entries:
+            out.append({"from_depth": d, "entries": entries})
+    return out
+
+
 def module_to_json(module):
     actions = {}
     for g in GENERATORS:
-        blocks = []
-        for n in range(module.depth + 1):
-            entries = module.act(g, n).nonzero_entries()
-            if entries:
-                blocks.append({"from_depth": n, "entries": entries})
-        actions[GEN_NAMES[g]] = blocks
+        actions[GEN_NAMES[g]] = _blocks_to_json(
+            (n, module.act(g, n)) for n in range(module.depth + 1))
     return {"top": module.top.to_json(), "depth": module.depth,
             "dims": list(module.dims), "complete": module.complete,
             "actions": actions}

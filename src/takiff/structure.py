@@ -143,7 +143,7 @@ def _closure(module, generators, iacts):
         if len(vec) != dims[d]:
             raise ValueError("generator at depth %d has length %d, expected %d"
                              % (d, len(vec), dims[d]))
-        vec = _integer_vector(vec, dims[d])
+        vec = _integer_vector(vec)
         if spaces[d]._add_integer(vec):
             work.append((d, vec))
     while work:

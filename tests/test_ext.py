@@ -392,7 +392,7 @@ def _assert_assemblers_agree(lam, mu, cat, window, top_first):
     for s, o in zip(systems, oracle):
         assert s.pivot_of_col == o.pivot_of_col
         assert s.rows == o.rows
-        assert all(type(v) is Fraction for r in s.rows for v in r.values())
+        assert all(type(v) is int for r in s.rows for v in r.values())
     assert got.to_json() == want.to_json()
     assert (got.dims_v, got.dims_w) == (want.dims_v, want.dims_w)
 
@@ -462,8 +462,7 @@ def test_integer_assembly_scales_unequal_denominators(lam, mu, cat,
 
 def test_rank_only_solve_stays_on_ints(monkeypatch):
     # the (3, 1) Verma's action blocks hold Fractions; its systems still
-    # get int coefficients only, and a rank-only solve never builds the
-    # Fraction echelon
+    # get int coefficients only, and their eliminated rows are ints
     lam = Weight(3, 1)
     types, systems = set(), []
     add_row = SparseSystem.add_row
@@ -478,7 +477,8 @@ def test_rank_only_solve_stays_on_ints(monkeypatch):
     r = ext1(lam, lam, "O", window=5, with_cocycles=False)
     assert types == {int}
     assert len(systems) == 2
-    assert all(s._fractions is None for s in systems)
+    assert all(type(v) is int for s in systems for row in s.rows
+               for v in row.values())
     monkeypatch.undo()
     want, _ = _solve_recording(lam, lam, "O", 5, False, True)
     assert r.to_json() == want.to_json()

@@ -13,11 +13,17 @@ from pathlib import Path
 import pytest
 
 from takiff.linalg import (Mat, RowSpace, SparseSystem, integer_product_sum,
-                           kernel_basis, rank, rref, solve_columns)
+                           kernel_basis, rref, solve_columns)
 
 
 def M(rows):
     return Mat.from_rows([[Fraction(x) for x in r] for r in rows])
+
+
+def rank(mat):
+    """The number of RREF pivots: the dense rank the sparse one is checked
+    against."""
+    return len(rref(mat)[1])
 
 
 def test_rref_small():
@@ -136,6 +142,10 @@ def test_rowspace_keeps_int_and_float_input_exact():
     assert rs.add([0.0, 0.5, 1.5])
     assert rs.basis() == [[1, 0, Fraction(-3, 2)], [0, 1, 3]]
     assert all(type(x) is Fraction for row in rs.rows for x in row)
+    # each read builds new rows: writing into one leaves the space as it was
+    rs.rows[0][2] = 5
+    rs.basis()[1][0] = 5
+    assert rs.rows == [[1, 0, Fraction(-3, 2)], [0, 1, 3]]
     assert rs.contains([4, 2.5, 1.5]) and not rs.contains([0, 0, 1])
 
 
@@ -349,25 +359,37 @@ def test_sparse_input_checks_survive_python_O():
         "vector of length 2 for a system of 3 columns"]
 
 
-def test_rows_are_as_added_until_eliminate_then_fractions():
+def _only_ints(sysm):
+    return all(type(v) is int for r in sysm.rows for v in r.values())
+
+
+def _normalized(sysm):
+    """The echelon rows as Fractions, each pivot row divided by its entry
+    at its pivot."""
+    leads = {i: sysm.rows[i][c] for c, i in sysm.pivot_of_col.items()}
+    return [{c: Fraction(v, leads[i]) for c, v in r.items()}
+            for i, r in enumerate(sysm.rows)]
+
+
+def test_rows_hold_only_ints():
     sysm = SparseSystem(3)
     sysm.add_row({0: 2, 1: 4, 2: 0})
     sysm.add_row({0: Fraction(1, 3), 2: 0.5})
-    # ints stay ints, a float is converted exactly, zeros are dropped
-    assert sysm.rows == [{0: 2, 1: 4}, {0: Fraction(1, 3), 2: Fraction(1, 2)}]
-    assert [type(v) for v in sysm.rows[0].values()] == [int, int]
+    # each row is cleared of denominators (a float converted exactly) and
+    # divided by its content, and zeros are dropped
+    assert sysm.rows == [{0: 1, 1: 2}, {0: 2, 2: 3}]
+    assert _only_ints(sysm)
     assert sysm.rank() == 2
-    assert sysm.rows == [{0: Fraction(1), 1: Fraction(2)},
-                         {1: Fraction(1), 2: Fraction(-3, 4)}]
-    assert all(type(v) is Fraction for r in sysm.rows for v in r.values())
+    assert sysm.rows == [{0: 1, 1: 2}, {1: -4, 2: 3}]
+    assert _only_ints(sysm)
+    assert _normalized(sysm) == [{0: 1, 1: 2}, {1: 1, 2: Fraction(-3, 4)}]
     # a row added after eliminate joins the echelon rows, and the next
     # query eliminates them together
     sysm.add_row({2: 7})
-    assert len(sysm.rows) == 3
+    assert sysm.rows[2] == {2: 1} and _only_ints(sysm)
     assert sysm.rank() == 3
-    assert sysm.rows == [{0: Fraction(1), 1: Fraction(2)},
-                         {1: Fraction(1), 2: Fraction(-3, 4)},
-                         {2: Fraction(1)}]
+    assert sysm.rows == [{0: 1, 1: 2}, {1: -4, 2: 3}, {2: 1}]
+    assert _only_ints(sysm)
 
 
 def test_add_row_after_eliminate_is_not_ignored():
@@ -457,9 +479,9 @@ def _random_sparse_rows(rng, m, n):
 def _assert_same_echelon(sysm, rows):
     want_rows, want_pivots = _reference_echelon(sysm.ncols, rows)
     assert sysm.pivot_of_col == want_pivots
+    assert _only_ints(sysm)
     assert len(sysm.rows) == len(want_rows)
-    assert sysm.rows == want_rows
-    assert all(type(v) is Fraction for r in sysm.rows for v in r.values())
+    assert _normalized(sysm) == want_rows
 
 
 def _int_multiple(row):
@@ -480,12 +502,16 @@ def test_sparse_eliminate_matches_fraction_reference(m, n):
             sysm = SparseSystem(n)
             for row in rows:
                 sysm.add_row(feed(row))
+            assert _only_ints(sysm)
             sysm.eliminate()
             _assert_same_echelon(sysm, rows)
-            # add_row after eliminate: the echelon rows plus the new ones
-            echelon = [dict(r) for r in sysm.rows]
+            # add_row after eliminate: the echelon rows plus the new ones;
+            # the reference divides, so it gets them as Fractions
+            echelon = [{c: Fraction(v) for c, v in r.items()}
+                       for r in sysm.rows]
             for row in extra:
                 sysm.add_row(feed(row))
+            assert _only_ints(sysm)
             sysm.eliminate()
             _assert_same_echelon(sysm, echelon + extra)
 

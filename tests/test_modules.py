@@ -424,8 +424,10 @@ def test_category_membership():
         m = verma(lam, 4)
         assert category_check(m, "O")
         assert category_check(m, "Otilde")
-    with pytest.raises(ValueError):
-        category_check(verma(Weight(0, 0), 2), "bogus")
+    # "O" and "Otilde" are the only spellings, as for ext1 and --cat
+    for flavor in ("bogus", "~O", "O~"):
+        with pytest.raises(ValueError, match="unknown category flavor"):
+            category_check(verma(Weight(0, 0), 2), flavor)
 
 
 def test_weight_and_character_helpers():

@@ -59,3 +59,28 @@ def test_no_floats_in_package(path):
                  and isinstance(node.func, ast.Name)
                  and node.func.id == "float")]
     assert lines == [], "%s has floats at lines %s" % (path.name, lines)
+
+
+def test_tracer_reads_sparse_system_state():
+    # the tracer's eliminate wrapper reads _eliminated to skip the calls
+    # that return at once, and counts the nonzeros of the row dicts in
+    # ``rows`` before and after each elimination; if either were renamed,
+    # every rank() and reduce_vector() would open a span of its own and
+    # count a solved system's nonzeros again
+    from takiff.linalg import SparseSystem
+
+    def row_dicts(system):
+        return type(system.rows) is list and all(type(r) is dict
+                                                 for r in system.rows)
+
+    s = SparseSystem(3)
+    assert s._eliminated is False and s.rows == []
+    s.add_row({0: 1, 1: 2})
+    s.add_row({0: 2, 2: 1})
+    assert s._eliminated is False and row_dicts(s) and len(s.rows) == 2
+    s.eliminate()
+    assert s._eliminated is True and row_dicts(s) and len(s.rows) == 2
+    s.add_row({2: 5})
+    assert s._eliminated is False and row_dicts(s) and len(s.rows) == 3
+    assert s.rank() == 3
+    assert s._eliminated is True and row_dicts(s)
