@@ -26,19 +26,22 @@ equal nondegenerate weights or lie in one hbar = 0 coset.
 
 Truncation is handled by running the computation at three consecutive
 window depths and requiring the dimension to be flat; each window is solved
-once, and representatives come from the deepest of the three.  The starting
-window is sized past both modules' supports and slides upward (to the cap
-given by the environment variable TAKIFF_DEPTH_CAP, default 40) if not yet
-flat.
+once, for its rank only.  The starting window is sized past both modules'
+supports and slides upward (to the cap given by the environment variable
+TAKIFF_DEPTH_CAP, default 40) if not yet flat.  Representatives, when
+asked for, come from one more solve of the deepest of the three windows,
+whose dimension must agree with the rank-only solve of the same window.
 
 The unknowns are laid out in blocks, one per (source depth, generator), in
-one of two depth orders.  A solve that draws representatives lays them out
-top depth first: the column order decides which unknowns are free, so it
-decides the kernel basis and with it the representatives (and the golden
-cocycle files).  A solve that reads only ranks, that is ext1 and
-stabilize_ext without cocycles, lays them out deepest depth first.  Ranks
-do not depend on the order, and eliminating the deep, wide slices first
-leaves far less fill-in (measurements in BENCH_colorder.json).
+one of two depth orders.  A solve that draws representatives (ext1 with
+cocycles, and the final solve of stabilize_ext with cocycles) lays them
+out top depth first: the column order decides which unknowns are free, so
+it decides the kernel basis and with it the representatives (and the
+golden cocycle files).  A solve that reads only ranks, that is ext1
+without cocycles and every window stabilize_ext slides over, lays them out
+deepest depth first.  Ranks do not depend on the order, and eliminating
+the deep, wide slices first leaves far less fill-in (measurements in
+BENCH_colorder.json).
 
 Both systems are assembled and eliminated on Python ints.  The action
 blocks of V and W are cleared of denominators once (N / D with N an
@@ -133,11 +136,6 @@ class ExtResult:
     note: str = ""
     dims_v: list = field(default_factory=list)    # coset-graded dimensions
     dims_w: list = field(default_factory=list)
-    # (cocycle system, coboundary system, unknown blocks) of a window solved
-    # in the cocycle layout, eliminated, until _add_representatives draws
-    # the cocycles from them
-    _solved: tuple = field(default=None, init=False, repr=False,
-                           compare=False)
 
     def to_json(self):
         cocycles = []
@@ -234,17 +232,14 @@ def _prepare(lam, mu, category):
                               note=note)
 
 
-def ext1(lam, mu, category="O", window=None, with_cocycles=True, *,
-         _defer_cocycles=False):
+def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     """dim Ext^1(L(lam), L(mu)) at one window depth, with representative
     cocycles.  Categories: "O" (strict) or "Otilde" (relaxed).
 
     The result of a single window is only meaningful once the dimension is
     flat across consecutive windows; use stabilize_ext for the final answer.
     Without cocycles the window is solved in the faster rank-only layout
-    (see the module docstring).  stabilize_ext passes _defer_cocycles to
-    solve a window in the cocycle layout but draw its representatives only
-    once it is known to be the final window.
+    (see the module docstring).
     """
     if window is not None:
         window = exact_int(window, "window")
@@ -256,52 +251,44 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True, *,
     if N < max(offv, offw) + 2:
         raise ValueError("window %d too small for offsets (%d, %d)"
                          % (N, offv, offw))
-    result = _solve_window(lam, mu, category, N, with_cocycles)
-    if with_cocycles and not _defer_cocycles:
-        _add_representatives(result)
+    result, solved = _solve_window(lam, mu, category, N, with_cocycles)
+    if with_cocycles:
+        _add_representatives(result, *solved)
     return result
 
 
-def _factor_terms(block, n, scale, memo):
-    """The nonzeros (row, column, scale * value) of an integer block in the
-    sparse row form of modules._integer_blocks, or of the n x n identity
-    when block is None, listed once per memo dict.  The memo also keeps
-    block referenced, so that no other block can take its id."""
-    key = (id(block), n, scale)
-    hit = memo.get(key)
-    if hit is None:
-        if block is None:
-            terms = [(k, k, scale) for k in range(n)]
-        else:
-            terms = [(r, c, scale * a) for r, nz in enumerate(block)
-                     for c, a in nz]
-        hit = memo[key] = (block, terms)
-    return hit[1]
-
-
-def _add_product(rows, width, blk, left, right, scale, memo=None):
+def _add_product(rows, width, blk, left, right, scale):
     """Add the nonzeros of scale * left . X . right into the equation rows,
     where X is the unknown block blk = (offset, nrows, ncols), stored row
     major, and entry (r, c) of the product is equation rows[r * width + c].
-    The factors are integer blocks in sparse row form and scale is an int,
-    so every coefficient is an int.  A None factor is the identity; a None
-    block is identically zero.  Calls that share a memo dict list each
-    factor's nonzeros once."""
+    At most one factor is given, an integer block in sparse row form; a
+    None factor is the identity, and a None block is identically zero.
+    scale is an int, so every coefficient is an int."""
     if blk is None:
         return
     off, nr, nc = blk
-    if memo is None:
-        memo = {}
-    # the scale rides on a factor that is not the identity, so only the
-    # product of two given factors multiplies per equation entry
-    lterms = _factor_terms(left, nr, scale if right is None else 1, memo)
-    rterms = _factor_terms(right, nc, 1 if right is None else scale, memo)
-    for r, i, a in lterms:
-        for j, c, b in rterms:
-            coef = a if right is None else b if left is None else a * b
-            row = rows[r * width + c]
-            idx = off + i * nc + j
-            row[idx] = row.get(idx, 0) + coef
+    if left is not None:  # (L X)[r, c] = sum_i L[r, i] X[i, c]
+        for r, nz in enumerate(left):
+            for i, a in nz:
+                coef = scale * a
+                for c in range(nc):
+                    row = rows[r * width + c]
+                    idx = off + i * nc + c
+                    row[idx] = row.get(idx, 0) + coef
+    elif right is not None:  # (X R)[r, c] = sum_j X[r, j] R[j, c]
+        for j, nz in enumerate(right):
+            for c, b in nz:
+                coef = scale * b
+                for r in range(nr):
+                    row = rows[r * width + c]
+                    idx = off + r * nc + j
+                    row[idx] = row.get(idx, 0) + coef
+    else:
+        for r in range(nr):
+            for c in range(nc):
+                row = rows[r * width + c]
+                idx = off + r * nc + c
+                row[idx] = row.get(idx, 0) + scale
 
 
 def _transpose(block, ncols):
@@ -317,9 +304,9 @@ def _transpose(block, ncols):
 def _solve_window(lam, mu, category, N, top_first):
     """Assemble and eliminate the cocycle and coboundary systems of window
     N (same block, N validated).  top_first picks the layout that
-    representatives are drawn in, and then the result carries the
-    eliminated systems so they can be drawn later without solving again;
-    otherwise the layout is the rank-only one and the systems are dropped."""
+    representatives are drawn in; otherwise the layout is the rank-only one.
+    Returns the result and (cocycle system, coboundary system, unknown
+    blocks), the systems eliminated, for _add_representatives."""
     V, offv, W, offw = _pair_on_coset(lam, mu, N)
     den_v, iacts_v = _integer_blocks(V)
     den_w, iacts_w = (den_v, iacts_v) if W is V else _integer_blocks(W)
@@ -345,10 +332,6 @@ def _solve_window(lam, mu, category, N, top_first):
                 blocks[(g, d)] = (nunk, dw[t], dv[d])
                 nunk += dw[t] * dv[d]
 
-    # each action block is met by many equations: list its nonzeros once
-    # per sign
-    memo = {}
-
     # cocycle condition on each pair and depth, as maps V_d -> W_t;
     # phi blocks outside the unknown set are identically zero, and the
     # action each existing block meets is always inside the window
@@ -363,16 +346,16 @@ def _solve_window(lam, mu, category, N, top_first):
                 continue
             rows = [{} for _ in range(dw[t] * dv[d])]
             _add_product(rows, dv[d], blocks.get((b, d)),
-                         aw[a].get(d + sb), None, kw, memo)
+                         aw[a].get(d + sb), None, kw)
             _add_product(rows, dv[d], blocks.get((b, d + sa)),
-                         None, av[a].get(d), -kv, memo)
+                         None, av[a].get(d), -kv)
             _add_product(rows, dv[d], blocks.get((a, d + sb)),
-                         None, av[b].get(d), kv, memo)
+                         None, av[b].get(d), kv)
             _add_product(rows, dv[d], blocks.get((a, d)),
-                         aw[b].get(d + sa), None, -kw, memo)
+                         aw[b].get(d + sa), None, -kw)
             for g, coef in _BRACKET[(a, b)]:
                 _add_product(rows, dv[d], blocks.get((g, d)), None, None,
-                             -coef * L, memo)
+                             -coef * L)
             for row in rows:
                 system.add_row(row)
     dim_z = nunk - system.rank()
@@ -398,21 +381,16 @@ def _solve_window(lam, mu, category, N, top_first):
             bsys.add_row(row)
     dim = dim_z - bsys.rank()
 
-    result = ExtResult(lam, mu, category, N, dim,
-                       depths_checked=[N], dim_sequence=[dim],
-                       dims_v=dv, dims_w=dw)
-    if top_first:
-        result._solved = (system, bsys, blocks)
-    return result
+    return ExtResult(lam, mu, category, N, dim, depths_checked=[N],
+                     dim_sequence=[dim], dims_v=dv,
+                     dims_w=dw), (system, bsys, blocks)
 
 
-def _add_representatives(result):
-    """Fill result.cocycles from its window's eliminated systems: the
-    kernel basis reduced modulo the coboundary space, first dim independent
-    ones.  Kernel vectors are built one at a time and drawing stops at the
-    dim-th representative.  Releases the systems."""
-    system, bsys, blocks = result._solved
-    result._solved = None
+def _add_representatives(result, system, bsys, blocks):
+    """Fill result.cocycles from its window's eliminated cocycle system,
+    coboundary system and unknown blocks: the kernel basis reduced modulo
+    the coboundary space, first dim independent ones.  Kernel vectors are
+    built one at a time and drawing stops at the dim-th representative."""
     if result.dim == 0:
         return
     reps = []
@@ -443,7 +421,12 @@ def _add_representatives(result):
 def stabilize_ext(lam, mu, category="O", start=None, cap=None,
                   with_cocycles=False):
     """Ext^1 with the truncation window slid until the dimension is flat on
-    three consecutive depths.  Raises StabilizationError at the depth cap."""
+    three consecutive depths.  Raises StabilizationError at the depth cap.
+
+    Every window is solved once, rank only.  With cocycles the deepest of
+    the three flat windows is solved again in the layout representatives
+    are drawn in; a dimension that differs between the two layouts raises
+    RuntimeError."""
     if start is not None:
         start = exact_int(start, "start")
     if cap is not None:
@@ -453,7 +436,7 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
         return zero
     cap = depth_cap() if cap is None else cap
     base = _default_window(lam, mu) if start is None else start
-    results = {}  # window -> its ExtResult, each window solved once
+    results = {}  # window -> its rank-only ExtResult
 
     if base + 2 > cap:
         raise StabilizationError(
@@ -465,18 +448,21 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
         for M in (N, N + 1, N + 2):
             if M not in results:
                 results[M] = ext1(lam, mu, category, window=M,
-                                  with_cocycles=with_cocycles,
-                                  _defer_cocycles=True)
+                                  with_cocycles=False)
         seq = [results[M].dim for M in (N, N + 1, N + 2)]
         if seq[0] == seq[1] == seq[2]:
             final = results[N + 2]
             if with_cocycles:
-                _add_representatives(final)
+                final = ext1(lam, mu, category, window=N + 2)
+                if final.dim != seq[2]:
+                    raise RuntimeError(
+                        "Ext^1(%s, %s) in %s at window %d: dim %d in the "
+                        "cocycle layout but %d in the rank-only layout"
+                        % (lam, mu, category, N + 2, final.dim, seq[2]))
             final.stabilized = True
             final.depths_checked = [N, N + 1, N + 2]
             final.dim_sequence = seq
             return final
-        results[N]._solved = None  # window N takes no further part
         N += 1
     raise StabilizationError(lam, mu, category,
                              [(M, results[M].dim) for M in sorted(results)])

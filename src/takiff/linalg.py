@@ -201,10 +201,6 @@ class Mat:
         return [[r, c, str(a)] for r, row in enumerate(self.rows)
                 for c, a in enumerate(row) if a]
 
-    def copy(self):
-        return Mat._adopt(self.nrows, self.ncols,
-                          [list(r) for r in self.rows])
-
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
             return "Mat(%d, %d)" % (self.nrows, self.ncols)

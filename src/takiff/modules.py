@@ -147,9 +147,6 @@ class TruncatedModule:
     def weight_at(self, n):
         return self.top.down(n)
 
-    def dim_total(self):
-        return sum(self.dims)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedModule):
             return NotImplemented

@@ -324,8 +324,9 @@ def multiplicities(ch, guard=2):
     the peeling order is forced and the answer unique).  A negative residual
     means the input was not a character of a module on this coset.
     """
+    guard = exact_int(guard, "guard")
     if guard < 0:
-        raise ValueError("guard must be >= 0")
+        raise ValueError("guard must be >= 0, got %d" % guard)
     trusted = ch.depth - guard
     if trusted < 0:
         raise ValueError("window too small for guard %d" % guard)
@@ -385,6 +386,9 @@ def mn_filtration(top, depth=None, guard=2):
         raise ValueError("top weight must have hbar-value 0 and h-value a "
                          "nonnegative integer, got %s" % (top,))
     n = int(top.h)
+    guard = exact_int(guard, "guard")
+    if guard < 0:
+        raise ValueError("guard must be >= 0, got %d" % guard)
     if depth is None:
         depth = n + guard + 3
     if depth < n + 1 + guard:
@@ -469,9 +473,6 @@ class SubmodulePoset:
     edges: list       # (upper label, lower label) covering pairs
     window_offsets: int
 
-    def node_labels(self):
-        return [n[0] for n in self.nodes]
-
     def to_json(self):
         return {"top": self.top.to_json(), "depth": self.depth,
                 "nodes": [{"label": l, "kind": k, "generator_depth": d,
@@ -501,7 +502,8 @@ def hasse_diagram(top, depth=None, offsets=None):
     Nodes: V_i = submodule generated by fbar^i v (an embedded Verma of
     highest weight top - i*alpha), for i = 0..offsets; and K_m = submodule
     generated by f^(m+1) fbar^((n-m)/2) v for m = n, n-2, ..., n-2*floor(n/2)
-    (the kernels of the maps onto the uniserial quotients).
+    (the kernels of the maps onto the uniserial quotients).  offsets < 0,
+    or a depth too shallow to hold V_offsets, raises ValueError.
     """
     if not isinstance(top, Weight):
         top = Weight(*top)
@@ -510,10 +512,13 @@ def hasse_diagram(top, depth=None, offsets=None):
                          "nonnegative integer, got %s" % (top,))
     n = int(top.h)
     k = n // 2  # deepest i with K_{n-2i} distinct
-    if offsets is None:
-        offsets = k + 2
-    if depth is None:
-        depth = n + offsets + 3
+    offsets = k + 2 if offsets is None else exact_int(offsets, "offsets")
+    if offsets < 0:
+        raise ValueError("offsets must be >= 0, got %d" % offsets)
+    depth = n + offsets + 3 if depth is None else exact_int(depth, "depth")
+    if depth < offsets:
+        raise ValueError("depth %d is less than offsets %d: V%d lies outside "
+                         "the window" % (depth, offsets, offsets))
     delta = verma(top, depth)
     delta_acts = _integer_blocks(delta)
     mods = {}  # label -> (kind, generator depth, RowSpaces of the slices)

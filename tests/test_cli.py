@@ -181,6 +181,13 @@ def test_ext_cocycles_json_matches_golden(capsys):
     assert out == golden.read_text()
 
 
+def test_hasse_rejects_negative_offsets(capsys):
+    code, out, err = run(capsys, "hasse", "--n", "4", "--offsets", "-3")
+    assert code == 1
+    assert out == ""
+    assert "offsets must be >= 0, got -3" in err
+
+
 def test_ext_depth_cap_failure(capsys, monkeypatch):
     monkeypatch.setenv("TAKIFF_DEPTH_CAP", "3")
     code, _, err = run(capsys, "ext", "--h", "3", "--mu-h", "1")

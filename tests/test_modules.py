@@ -176,10 +176,15 @@ def test_negative_depth_is_rejected(build, top):
 # ---------------------------------------------------------------------------
 # relations: the checker accepts the real thing and rejects a tampered copy
 
+def copy_mat(mat):
+    """A copy of mat that shares no row with it (the constructor copies)."""
+    return Mat(mat.nrows, mat.ncols, mat.rows)
+
+
 def test_check_relations_catches_tampering():
     m = verma(Weight(1, 0), 4)
     assert check_relations(m).passed
-    bad = m.act(HBAR, 2).copy()
+    bad = copy_mat(m.act(HBAR, 2))
     bad.rows[0][0] += 1
     m.actions[HBAR][2] = bad
     rep = check_relations(m)
@@ -283,7 +288,7 @@ def _perturbed(module, rnd, delta):
         return None
     g, n, r, c = rnd.choice(spots)
     actions = {h: dict(blocks) for h, blocks in module.actions.items()}
-    blk = actions[g][n] = module.actions[g][n].copy()
+    blk = actions[g][n] = copy_mat(module.actions[g][n])
     blk.rows[r][c] += delta
     return TruncatedModule(module.top, module.depth, module.dims, actions,
                            complete=module.complete)

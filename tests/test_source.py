@@ -84,3 +84,22 @@ def test_tracer_reads_sparse_system_state():
     assert s._eliminated is False and row_dicts(s) and len(s.rows) == 3
     assert s.rank() == 3
     assert s._eliminated is True and row_dicts(s)
+
+
+@pytest.mark.parametrize("with_cocycles", [False, True])
+def test_stabilize_calls_ext1_through_the_module(monkeypatch, with_cocycles):
+    # bench/tracer.py counts windows by wrapping takiff.ext.ext1; a
+    # stabilize_ext that solved windows another way would read 0 there
+    from takiff import ext
+
+    seen = []
+    ext1 = ext.ext1
+
+    def counting(*args, **kwargs):
+        seen.append(kwargs.get("with_cocycles", True))
+        return ext1(*args, **kwargs)
+
+    monkeypatch.setattr(ext, "ext1", counting)
+    ext.stabilize_ext((3, 1), (3, 1), "O", with_cocycles=with_cocycles)
+    # three rank-only windows, then the final window again with cocycles
+    assert seen == [False] * 3 + [True] * with_cocycles

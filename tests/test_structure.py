@@ -225,6 +225,11 @@ def test_peeling_rejects_non_characters():
     fake = Character(Weight(0, 0), 4, {0: 1, 1: 3, 2: 0, 3: 0, 4: 0})
     with pytest.raises(ValueError):
         multiplicities(fake)
+    ch = character(verma(Weight(0, 0), 4))
+    with pytest.raises(ValueError, match="guard must be >= 0, got -1"):
+        multiplicities(ch, guard=-1)
+    with pytest.raises(ValueError, match="guard must be an integer, got 1.5"):
+        multiplicities(ch, guard=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +253,10 @@ def test_mn_filtration_rejects_bad_tops():
         mn_filtration(Weight(2, 1))
     with pytest.raises(ValueError):
         mn_filtration(Weight(3, 0), depth=3)  # window too small
+    with pytest.raises(ValueError, match="guard must be >= 0, got -1"):
+        mn_filtration(Weight(0, 0), guard=-1)
+    with pytest.raises(ValueError, match="guard must be an integer, got 1.5"):
+        mn_filtration(Weight(0, 0), guard=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +283,20 @@ def test_hasse_n2():
 def test_hasse_n4_frozen():
     hd = hasse_diagram(Weight(4, 0))
     assert sorted(hd.edges) == sorted(HASSE_N4_EDGES)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"depth": 3}, "depth 3 is less than offsets 4"),
+    ({"depth": 0}, "depth 0 is less than offsets 4"),
+    ({"offsets": -3}, "offsets must be >= 0, got -3"),
+    ({"offsets": 1.5}, "offsets must be an integer, got 1.5"),
+    ({"depth": 7.0}, "depth must be an integer, got 7.0"),
+])
+def test_hasse_rejects_bad_windows(kwargs, message):
+    # a window that cannot hold every V_i raised IndexError, and negative
+    # offsets silently dropped every V node
+    with pytest.raises(ValueError, match=message):
+        hasse_diagram(Weight(4, 0), **kwargs)
 
 
 def test_hasse_dot_mentions_every_node():
