@@ -8,7 +8,7 @@ condition
     phi([a,b]) = rho_W(a) phi(b) - phi(b) rho_V(a)
                + phi(a) rho_V(b) - rho_W(b) phi(a)
 
-is imposed for all 15 generator pairs on every depth slice whose composites
+is imposed for the generator pairs on every depth slice whose composites
 stay inside the truncation window, and coboundaries are the maps
 d psi (g) = rho_W(g) psi - psi rho_V(g) for depth-preserving psi.  This is
 exactly the condition for the block-triangular matrices [[W, phi], [0, V]]
@@ -18,7 +18,11 @@ Two category flavors: in the strict one ("O") the extension must stay
 h-semisimple, which forces phi(h) = 0 (on a common coset both modules give
 h the same scalar on aligned slices, and a Jordan block above a scalar is
 never diagonalizable), so the phi(h) unknowns are simply dropped.  The
-relaxed flavor ("Otilde") keeps them.
+relaxed flavor ("Otilde") keeps them and imposes all 15 pairs.  In O the
+five pairs that contain h are not imposed: with phi(h) = 0 they read
+rho_W(h) phi(x) - phi(x) rho_V(h) = phi([h, x]), and h acts on the aligned
+slices by coset scalars that differ by exactly the eigenvalue of [h, x],
+so they hold for every graded phi.
 
 Pairs of simples in different blocks admit no extensions (their central
 characters differ), so ext1 short-circuits to 0 unless the two weights are
@@ -43,7 +47,20 @@ deepest depth first.  Ranks do not depend on the order, and eliminating
 the deep, wide slices first leaves far less fill-in (measurements in
 BENCH_colorder.json).
 
-Both systems are assembled and eliminated on Python ints.  The action
+Only the cocycle system is needed for the dimension, because the
+coboundary rank is known in closed form:
+
+    dim B^1 = dim C^0 - dim ker d = sum_d dim V_d * dim W_d - [lam == mu].
+
+A psi in ker d commutes with f and fbar, which reach every slice of V from
+its top inside the window, so psi is fixed by psi(v_top).  e and ebar kill
+psi(v_top), and in the simple W only the top vector is killed by both.
+Hence ker d is the scalars when lam == mu and 0 otherwise, with or without
+the phi(h) unknowns.  The coboundary system is assembled only where its
+span is read, when representatives are drawn; its rank is then checked
+against the formula, and a mismatch raises RuntimeError.
+
+The systems are assembled and eliminated on Python ints.  The action
 blocks of V and W are cleared of denominators once (N / D with N an
 integer matrix), and every equation is multiplied by L = lcm(D_V, D_W):
 an action block enters as (L / D) * N and a bracket constant c as c * L.
@@ -238,8 +255,9 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
 
     The result of a single window is only meaningful once the dimension is
     flat across consecutive windows; use stabilize_ext for the final answer.
-    Without cocycles the window is solved in the faster rank-only layout
-    (see the module docstring).
+    Without cocycles one system is assembled and eliminated, in the faster
+    rank-only layout; with them the coboundary system is built too and its
+    rank checked against dim B^1 (see the module docstring).
     """
     if window is not None:
         window = exact_int(window, "window")
@@ -251,10 +269,7 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     if N < max(offv, offw) + 2:
         raise ValueError("window %d too small for offsets (%d, %d)"
                          % (N, offv, offw))
-    result, solved = _solve_window(lam, mu, category, N, with_cocycles)
-    if with_cocycles:
-        _add_representatives(result, *solved)
-    return result
+    return _solve_window(lam, mu, category, N, with_cocycles)
 
 
 def _add_product(rows, width, blk, left, right, scale):
@@ -301,12 +316,13 @@ def _transpose(block, ncols):
     return out
 
 
-def _solve_window(lam, mu, category, N, top_first):
-    """Assemble and eliminate the cocycle and coboundary systems of window
-    N (same block, N validated).  top_first picks the layout that
-    representatives are drawn in; otherwise the layout is the rank-only one.
-    Returns the result and (cocycle system, coboundary system, unknown
-    blocks), the systems eliminated, for _add_representatives."""
+def _solve_window(lam, mu, category, N, with_cocycles):
+    """Ext^1 of window N (same block, N validated): assemble and eliminate
+    the cocycle system, and take dim B^1 in closed form (module
+    docstring).  With cocycles the unknowns are laid out top first, and the
+    coboundary system is assembled too, its rank checked against dim B^1,
+    and representatives drawn; otherwise the layout is the rank-only one
+    and no coboundary system is built."""
     V, offv, W, offw = _pair_on_coset(lam, mu, N)
     den_v, iacts_v = _integer_blocks(V)
     den_w, iacts_w = (den_v, iacts_v) if W is V else _integer_blocks(W)
@@ -325,7 +341,7 @@ def _solve_window(lam, mu, category, N, top_first):
     # the top-first order their golden files were drawn in.
     blocks = {}
     nunk = 0
-    for d in (range(N + 1) if top_first else range(N, -1, -1)):
+    for d in (range(N + 1) if with_cocycles else range(N, -1, -1)):
         for g in gens_used:
             t = d + DEPTH_SHIFT[g]
             if dv[d] and 0 <= t <= N and dw[t]:
@@ -334,9 +350,13 @@ def _solve_window(lam, mu, category, N, top_first):
 
     # cocycle condition on each pair and depth, as maps V_d -> W_t;
     # phi blocks outside the unknown set are identically zero, and the
-    # action each existing block meets is always inside the window
+    # action each existing block meets is always inside the window.  With
+    # phi(h) = 0 a pair with h holds for every graded phi (module
+    # docstring), so only pairs of unknown generators are imposed.
     system = SparseSystem(nunk)
     for a, b in _PAIRS:
+        if a not in gens_used or b not in gens_used:
+            continue
         sa, sb = DEPTH_SHIFT[a], DEPTH_SHIFT[b]
         for d in range(N + 1):
             t = d + sa + sb
@@ -358,7 +378,14 @@ def _solve_window(lam, mu, category, N, top_first):
                              -coef * L)
             for row in rows:
                 system.add_row(row)
-    dim_z = nunk - system.rank()
+    # dim B^1 = dim C^0 - dim ker d, and ker d is the scalars when
+    # lam == mu and 0 otherwise
+    dim_b = sum(dv[d] * dw[d] for d in range(N + 1)) - (lam == mu)
+    dim = nunk - system.rank() - dim_b
+    result = ExtResult(lam, mu, category, N, dim, depths_checked=[N],
+                       dim_sequence=[dim], dims_v=dv, dims_w=dw)
+    if not with_cocycles:
+        return result
 
     # coboundaries d psi (g) = rho_W(g) psi - psi rho_V(g): one row per
     # basis map psi = E_(r, c) of depth d, so the factors are transposed
@@ -379,11 +406,13 @@ def _solve_window(lam, mu, category, N, top_first):
                              _transpose(av[g][d - s], dv[d - s]), -kv)
         for row in rows:
             bsys.add_row(row)
-    dim = dim_z - bsys.rank()
-
-    return ExtResult(lam, mu, category, N, dim, depths_checked=[N],
-                     dim_sequence=[dim], dims_v=dv,
-                     dims_w=dw), (system, bsys, blocks)
+    rank_b = bsys.rank()
+    if rank_b != dim_b:
+        raise RuntimeError(
+            "Ext^1(%s, %s) in %s at window %d: coboundary rank %d, but "
+            "dim B^1 = %d" % (lam, mu, category, N, rank_b, dim_b))
+    _add_representatives(result, system, bsys, blocks)
+    return result
 
 
 def _add_representatives(result, system, bsys, blocks):
@@ -423,10 +452,10 @@ def stabilize_ext(lam, mu, category="O", start=None, cap=None,
     """Ext^1 with the truncation window slid until the dimension is flat on
     three consecutive depths.  Raises StabilizationError at the depth cap.
 
-    Every window is solved once, rank only.  With cocycles the deepest of
-    the three flat windows is solved again in the layout representatives
-    are drawn in; a dimension that differs between the two layouts raises
-    RuntimeError."""
+    Every window is solved once, rank only: one system assembled and
+    eliminated per window.  With cocycles the deepest of the three flat
+    windows is solved again in the layout representatives are drawn in; a
+    dimension that differs between the two layouts raises RuntimeError."""
     if start is not None:
         start = exact_int(start, "start")
     if cap is not None:
@@ -473,13 +502,18 @@ def assemble_extension(result, index=0):
     representative cocycles (slices ordered W then V at each depth).  The
     result is a TruncatedModule on the common coset window; its relation
     check is how the solver's output is validated end to end.  A phi block
-    may be smaller than its slot: it fills the slot's top-left corner."""
+    may be smaller than its slot: it fills the slot's top-left corner.  An
+    index outside 0..len(result.cocycles) - 1 raises ValueError."""
     from .modules import TruncatedModule
+    index = exact_int(index, "index")
+    if not 0 <= index < len(result.cocycles):
+        raise ValueError("cocycle index %d out of range: the result has %d "
+                         "cocycles" % (index, len(result.cocycles)))
     lam, mu, N = result.lam, result.mu, result.window
     V, offv, W, offw = _pair_on_coset(lam, mu, N)
     dv, av = _on_coset(V, offv, N, V.act)
     dw, aw = _on_coset(W, offw, N, W.act)
-    phi = result.cocycles[index] if result.cocycles else {}
+    phi = result.cocycles[index]
     dims = [dw[d] + dv[d] for d in range(N + 1)]
     actions = {g: {} for g in GENERATORS}
     anchor = lam if offv == 0 else mu
@@ -547,7 +581,7 @@ def _offset_label(m):
     return "w%s%sa" % ("+" if m > 0 else "-", coef)
 
 
-def quiver(seed, lo=-2, hi=2, category="O", cap=None):
+def quiver(seed, lo=-2, hi=2, category="O"):
     """Quiver of the block containing ``seed``.
 
     A nondegenerate weight yields a single vertex with its self-extensions
@@ -570,7 +604,7 @@ def quiver(seed, lo=-2, hi=2, category="O", cap=None):
     arrows = {}
     for m1, w1, _ in vertices:
         for m2, w2, _ in vertices:
-            d = stabilize_ext(w1, w2, category, cap=cap).dim
+            d = stabilize_ext(w1, w2, category).dim
             if d:
                 arrows[(m1, m2)] = d
     return Quiver(blk, category, vertices, arrows)

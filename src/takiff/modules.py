@@ -91,10 +91,6 @@ class Character:
     def dim_at(self, d):
         return self.dims.get(d, 0)
 
-    def restrict(self, depth):
-        return Character(self.top, depth,
-                         {d: m for d, m in self.dims.items() if d <= depth})
-
     def __eq__(self, other):
         return (isinstance(other, Character) and self.top == other.top
                 and self.depth == other.depth and self.dims == other.dims)
@@ -278,12 +274,6 @@ def simple_module(top, depth):
                 _store(actions, dims, depth, E, d,
                        Mat(1, 1, [[d * (top.h - d + 1)]]))
         complete = False
-    # barred generators act by zero: store explicit zero blocks for clarity
-    for g in (FBAR, HBAR, EBAR):
-        for d in range(depth + 1):
-            t = d + DEPTH_SHIFT[g]
-            if dims[d] and 0 <= t <= depth:
-                actions[g][d] = Mat.zeros(dims[t], dims[d])
     return TruncatedModule(top, depth, dims, actions, complete=complete,
                            label="simple")
 

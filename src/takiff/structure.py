@@ -389,8 +389,7 @@ def mn_filtration(top, depth=None, guard=2):
     guard = exact_int(guard, "guard")
     if guard < 0:
         raise ValueError("guard must be >= 0, got %d" % guard)
-    if depth is None:
-        depth = n + guard + 3
+    depth = n + guard + 3 if depth is None else exact_int(depth, "depth")
     if depth < n + 1 + guard:
         raise ValueError("window %d too small: need at least %d"
                          % (depth, n + 1 + guard))

@@ -122,9 +122,9 @@ def test_stabilize_solves_each_window_once(monkeypatch, with_cocycles):
     solved = []
     solve = ext_mod._solve_window
 
-    def counting_solve(lam, mu, category, N, top_first):
-        solved.append((N, top_first))
-        return solve(lam, mu, category, N, top_first)
+    def counting_solve(lam, mu, category, N, with_cocycles):
+        solved.append((N, with_cocycles))
+        return solve(lam, mu, category, N, with_cocycles)
 
     monkeypatch.setattr(ext_mod, "_solve_window", counting_solve)
     lam = Weight(3, 1)
@@ -146,9 +146,9 @@ def test_stabilize_cross_checks_the_two_layouts(monkeypatch):
     solve = ext_mod._solve_window
     rank = SparseSystem.rank
 
-    def skewed_solve(lam, mu, category, N, top_first):
-        if not top_first:
-            return solve(lam, mu, category, N, top_first)
+    def skewed_solve(lam, mu, category, N, with_cocycles):
+        if not with_cocycles:
+            return solve(lam, mu, category, N, with_cocycles)
         calls = []
 
         def skewed_rank(system):
@@ -157,7 +157,7 @@ def test_stabilize_cross_checks_the_two_layouts(monkeypatch):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SparseSystem, "rank", skewed_rank)
-            return solve(lam, mu, category, N, top_first)
+            return solve(lam, mu, category, N, with_cocycles)
 
     monkeypatch.setattr(ext_mod, "_solve_window", skewed_solve)
     lam = Weight(3, 1)
@@ -241,8 +241,9 @@ def test_ext_table_spot_checks():
 # ---------------------------------------------------------------------------
 # the two unknown layouts: ranks do not depend on the column order
 
-def _window_ranks(lam, mu, cat, N, top_first):
-    """(dim, [cocycle rank, coboundary rank]) of one window in one layout."""
+def _window_ranks(lam, mu, cat, N, with_cocycles):
+    """(dim, [cocycle rank, coboundary rank if built]) of one window in the
+    layout with_cocycles picks."""
     ranks = []
     rank = SparseSystem.rank
 
@@ -252,7 +253,7 @@ def _window_ranks(lam, mu, cat, N, top_first):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SparseSystem, "rank", recording_rank)
-        r, _ = ext_mod._solve_window(lam, mu, cat, N, top_first)
+        r = ext_mod._solve_window(lam, mu, cat, N, with_cocycles)
     return r.dim, ranks
 
 
@@ -260,7 +261,10 @@ def _assert_layouts_agree(lam, mu, cat, window):
     offv, offw = ext_mod._coset_layout(lam, mu)
     N = max(window, offv + 2, offw + 2)
     top = _window_ranks(lam, mu, cat, N, True)
-    assert _window_ranks(lam, mu, cat, N, False) == top, (lam, mu, cat, N)
+    deep = _window_ranks(lam, mu, cat, N, False)
+    # the rank-only solve eliminates the cocycle system alone; the solve
+    # with cocycles also the coboundary system, whose rank it checks
+    assert deep == (top[0], top[1][:1]), (lam, mu, cat, N)
     assert len(top[1]) == 2
 
 
@@ -291,6 +295,55 @@ def test_layouts_agree_on_nondegenerate_weights(h, hbar, cat, window):
 def test_deep_window_rank_only_solve(cat, want):
     lam = Weight(3, 1)
     assert ext1(lam, lam, cat, window=10, with_cocycles=False).dim == want
+
+
+# ---------------------------------------------------------------------------
+# dim B^1 in closed form: the rank-only solve takes the coboundary rank from
+# sum_d dim V_d * dim W_d - [lam == mu], the solve with cocycles eliminates
+# the coboundary system and checks its rank against that
+
+def _assert_closed_form_agrees(lam, mu, cat, window):
+    offv, offw = ext_mod._coset_layout(lam, mu)
+    N = max(window, offv + 2, offw + 2)
+    checked = ext1(lam, mu, cat, window=N)
+    assert ext1(lam, mu, cat, window=N, with_cocycles=False).dim == \
+        checked.dim == len(checked.cocycles), (lam, mu, cat, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COSETS, st.integers(-3, 2), st.integers(-3, 2), _CATS,
+       st.integers(3, 8))
+def test_closed_form_coboundary_rank_on_coset_pairs(rep, m1, m2, cat, window):
+    _assert_closed_form_agrees(Weight(rep + 2 * m1, 0),
+                               Weight(rep + 2 * m2, 0), cat, window)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_RATIONALS, _RATIONALS.filter(bool), _CATS, st.integers(3, 5))
+def test_closed_form_coboundary_rank_on_nondegenerate_weights(h, hbar, cat,
+                                                              window):
+    lam = Weight(h, hbar)
+    _assert_closed_form_agrees(lam, lam, cat, window)
+
+
+def test_skewed_coboundary_rank_raises(monkeypatch):
+    # the coboundary system is read second; one more rank than the closed
+    # form allows is an error, not a silently smaller dimension
+    rank = SparseSystem.rank
+    calls = []
+
+    def skewed_rank(system):
+        calls.append(system)
+        return rank(system) + (len(calls) == 2)
+
+    monkeypatch.setattr(SparseSystem, "rank", skewed_rank)
+    lam = Weight(3, 1)
+    with pytest.raises(RuntimeError, match=r"\(3, 1\), \(3, 1\)\) in Otilde "
+                       r"at window 4: coboundary rank 55, but dim B\^1 = 54"):
+        ext1(lam, lam, "Otilde", window=4)
+    calls.clear()
+    assert ext1(lam, lam, "Otilde", window=4, with_cocycles=False).dim == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +449,10 @@ def _fraction_blocks(mod):
                for g in GENERATORS}
 
 
-def _solve_recording(lam, mu, cat, N, top_first, fraction):
-    """One window's result and its (cocycle, coboundary) systems, assembled
-    from integer blocks or, with fraction, by the Fraction assembler."""
+def _solve_recording(lam, mu, cat, N, with_cocycles, fraction):
+    """One window's result and the systems it built (the cocycle system,
+    and with cocycles the coboundary system), assembled from integer
+    blocks or, with fraction, by the Fraction assembler."""
     systems = []
 
     class Recording(SparseSystem):
@@ -413,18 +467,16 @@ def _solve_recording(lam, mu, cat, N, top_first, fraction):
             mp.setattr(ext_mod, "_add_product", add_product_fraction)
             mp.setattr(ext_mod, "_transpose",
                        lambda mat, ncols: mat.transpose())
-        r, solved = ext_mod._solve_window(lam, mu, cat, N, top_first)
-        if top_first:
-            ext_mod._add_representatives(r, *solved)
+        r = ext_mod._solve_window(lam, mu, cat, N, with_cocycles)
     return r, systems
 
 
-def _assert_assemblers_agree(lam, mu, cat, window, top_first):
+def _assert_assemblers_agree(lam, mu, cat, window, with_cocycles):
     offv, offw = ext_mod._coset_layout(lam, mu)
     N = max(window, offv + 2, offw + 2)
-    got, systems = _solve_recording(lam, mu, cat, N, top_first, False)
-    want, oracle = _solve_recording(lam, mu, cat, N, top_first, True)
-    assert len(systems) == len(oracle) == 2
+    got, systems = _solve_recording(lam, mu, cat, N, with_cocycles, False)
+    want, oracle = _solve_recording(lam, mu, cat, N, with_cocycles, True)
+    assert len(systems) == len(oracle) == 1 + with_cocycles
     for s, o in zip(systems, oracle):
         assert s.pivot_of_col == o.pivot_of_col
         assert s.rows == o.rows
@@ -440,18 +492,19 @@ _LAYOUTS = st.booleans()
 @given(_COSETS, st.integers(-2, 1), st.integers(-2, 1), _CATS,
        st.integers(3, 6), _LAYOUTS)
 def test_integer_assembly_matches_fraction_on_coset_pairs(rep, m1, m2, cat,
-                                                          window, top_first):
+                                                          window,
+                                                          with_cocycles):
     _assert_assemblers_agree(Weight(rep + 2 * m1, 0), Weight(rep + 2 * m2, 0),
-                             cat, window, top_first)
+                             cat, window, with_cocycles)
 
 
 @settings(max_examples=10, deadline=None)
 @given(_RATIONALS, _RATIONALS.filter(bool), _CATS, st.integers(3, 6),
        _LAYOUTS)
 def test_integer_assembly_matches_fraction_on_nondegenerate_weights(
-        h, hbar, cat, window, top_first):
+        h, hbar, cat, window, with_cocycles):
     lam = Weight(h, hbar)
-    _assert_assemblers_agree(lam, lam, cat, window, top_first)
+    _assert_assemblers_agree(lam, lam, cat, window, with_cocycles)
 
 
 def _rescaled(mod, seed):
@@ -476,9 +529,9 @@ def _rescaled(mod, seed):
     (Weight(3, 1), Weight(3, 1), "O"),
     (Weight(0, 0), Weight(-2, 0), "Otilde"),
     (Weight(Fraction(1, 2), 0), Weight(Fraction(-3, 2), 0), "O")])
-@pytest.mark.parametrize("top_first", [False, True])
+@pytest.mark.parametrize("with_cocycles", [False, True])
 def test_integer_assembly_scales_unequal_denominators(lam, mu, cat,
-                                                      top_first):
+                                                      with_cocycles):
     # in one block V and W clear to the same D, so L / D is 1; a rescaled
     # W has another D, and each of its blocks enters scaled by L / D_W
     pair = ext_mod._pair_on_coset
@@ -493,12 +546,12 @@ def test_integer_assembly_scales_unequal_denominators(lam, mu, cat,
         V, _, W, _ = ext_mod._pair_on_coset(lam, mu, 4)
         assert _integer_blocks(V)[0] != _integer_blocks(W)[0]
         assert ext1(lam, mu, cat, window=4, with_cocycles=False).dim == want
-        _assert_assemblers_agree(lam, mu, cat, 4, top_first)
+        _assert_assemblers_agree(lam, mu, cat, 4, with_cocycles)
 
 
 def test_rank_only_solve_stays_on_ints(monkeypatch):
-    # the (3, 1) Verma's action blocks hold Fractions; its systems still
-    # get int coefficients only, and their eliminated rows are ints
+    # the (3, 1) Verma's action blocks hold Fractions; its one system still
+    # gets int coefficients only, and its eliminated rows are ints
     lam = Weight(3, 1)
     types, systems = set(), []
     add_row = SparseSystem.add_row
@@ -512,7 +565,7 @@ def test_rank_only_solve_stays_on_ints(monkeypatch):
     monkeypatch.setattr(SparseSystem, "add_row", recording)
     r = ext1(lam, lam, "O", window=5, with_cocycles=False)
     assert types == {int}
-    assert len(systems) == 2
+    assert len(systems) == 1
     assert all(type(v) is int for s in systems for row in s.rows
                for v in row.values())
     monkeypatch.undo()
@@ -595,6 +648,25 @@ def test_strict_category_cocycles_never_touch_h():
     mod = assemble_extension(r)
     assert check_relations(mod).passed
     assert category_check(mod, "O")
+
+
+def test_assemble_extension_rejects_bad_indices():
+    r = ext1(Weight(0, 0), Weight(-2, 0), "O", window=4)
+    assert r.dim == len(r.cocycles) == 1
+    assert check_relations(assemble_extension(r, Fraction(0))).passed
+    for index in (1, -1):
+        with pytest.raises(ValueError, match="cocycle index %d out of range: "
+                           "the result has 1 cocycles" % index):
+            assemble_extension(r, index)
+    with pytest.raises(ValueError, match="index must be an integer, got 0.5"):
+        assemble_extension(r, 0.5)
+    # a rank-only result has no cocycles: no split extension V + W instead
+    bare = ext1(Weight(0, 0), Weight(-2, 0), "O", window=4,
+                with_cocycles=False)
+    assert bare.dim == 1 and bare.cocycles == []
+    with pytest.raises(ValueError, match="index 0 out of range: the result "
+                       "has 0 cocycles"):
+        assemble_extension(bare)
 
 
 def test_ext_result_json():

@@ -446,8 +446,6 @@ def test_weight_and_character_helpers():
 
     ch = character(verma(Weight(0, 0), 5))
     assert ch.dim_at(3) == 4
-    r = ch.restrict(2)
-    assert r.depth == 2 and r.dims == {0: 1, 1: 2, 2: 3}
     assert Character.from_json(ch.to_json()) == ch
 
 

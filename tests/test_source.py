@@ -103,3 +103,26 @@ def test_stabilize_calls_ext1_through_the_module(monkeypatch, with_cocycles):
     ext.stabilize_ext((3, 1), (3, 1), "O", with_cocycles=with_cocycles)
     # three rank-only windows, then the final window again with cocycles
     assert seen == [False] * 3 + [True] * with_cocycles
+
+
+def test_rank_only_windows_build_one_system_each(monkeypatch):
+    # a rank-only window takes dim B^1 in closed form, so it builds only the
+    # cocycle system; in O that system gets no equation of a pair with h,
+    # which would be all zero, nor any other all-zero row
+    from takiff import ext
+
+    systems, zero_rows = [], []
+
+    class Recording(ext.SparseSystem):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            systems.append(self)
+
+        def add_row(self, row):
+            if not any(row.values()):
+                zero_rows.append(row)
+            super().add_row(row)
+
+    monkeypatch.setattr(ext, "SparseSystem", Recording)
+    assert ext.stabilize_ext((3, 1), (3, 1), "O").dim == 1
+    assert len(systems) == 3 and zero_rows == []

@@ -257,6 +257,10 @@ def test_mn_filtration_rejects_bad_tops():
         mn_filtration(Weight(0, 0), guard=-1)
     with pytest.raises(ValueError, match="guard must be an integer, got 1.5"):
         mn_filtration(Weight(0, 0), guard=1.5)
+    with pytest.raises(ValueError, match="depth must be an integer, got 10.5"):
+        mn_filtration(Weight(2, 0), depth=10.5)
+    assert mn_filtration(Weight(2, 0), depth=Fraction(10)) == \
+        mn_filtration(Weight(2, 0), depth=10)
 
 
 # ---------------------------------------------------------------------------
