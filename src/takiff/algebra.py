@@ -208,7 +208,9 @@ def straighten_word(word, coefficient=Fraction(1)):
     """PBW normal form of a single word (tuple of generator ids), times
     ``coefficient``.  The word is straightened over the integers and scaled
     by the coefficient once at the end, so every coefficient of the result
-    is a Fraction.
+    is a Fraction.  _gen_times_word recurses once per letter it passes, so
+    a word whose letters nest deeper than Python's recursion limit raises
+    ValueError naming its length.
 
     >>> sorted(straighten_word((E, FBAR, FBAR)).items())
     [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
@@ -220,12 +222,16 @@ def straighten_word(word, coefficient=Fraction(1)):
     while k > 0 and word[k - 1] <= word[k]:
         k -= 1
     terms = {word[k:]: 1}
-    for g in reversed(word[:k]):
-        nxt = {}
-        for w, c in terms.items():
-            for w2, c2 in _gen_times_word(g, w):
-                nxt[w2] = nxt.get(w2, 0) + c * c2
-        terms = {w: c for w, c in nxt.items() if c}
+    try:
+        for g in reversed(word[:k]):
+            nxt = {}
+            for w, c in terms.items():
+                for w2, c2 in _gen_times_word(g, w):
+                    nxt[w2] = nxt.get(w2, 0) + c * c2
+            terms = {w: c for w, c in nxt.items() if c}
+    except RecursionError:
+        raise ValueError("a word of %d letters nests too deeply to "
+                         "straighten" % len(word)) from None
     coefficient = Fraction(coefficient)
     out = EnvelopingElement()
     if coefficient == 1:

@@ -22,7 +22,10 @@ relaxed flavor ("Otilde") keeps them and imposes all 15 pairs.  In O the
 five pairs that contain h are not imposed: with phi(h) = 0 they read
 rho_W(h) phi(x) - phi(x) rho_V(h) = phi([h, x]), and h acts on the aligned
 slices by coset scalars that differ by exactly the eigenvalue of [h, x],
-so they hold for every graded phi.
+so they hold for every graded phi.  In both flavors the three pairs of
+barred generators are not imposed when hbar = 0: the barred half acts by
+zero on both simples and [xbar, ybar] = 0, so each side of their
+condition is 0.
 
 Pairs of simples in different blocks admit no extensions (their central
 characters differ), so ext1 short-circuits to 0 unless the two weights are
@@ -75,10 +78,11 @@ import os
 from dataclasses import dataclass, field
 from math import floor, lcm
 
-from .algebra import (H, GENERATORS, GEN_NAMES, DEPTH_SHIFT, _BRACKET,
-                      _PAIRS, exact_int)
+from .algebra import (H, BAR_DEGREE, GENERATORS, GEN_NAMES, DEPTH_SHIFT,
+                      _BRACKET, _PAIRS, exact_int)
 from .linalg import Mat, RowSpace, SparseSystem
-from .modules import Weight, _integer_blocks, _blocks_to_json, simple_module
+from .modules import (TruncatedModule, Weight, _block_slots, _blocks_to_json,
+                      _integer_blocks, simple_module)
 
 __all__ = [
     "Block", "block_of", "same_block", "ext1", "stabilize_ext", "ExtResult",
@@ -124,8 +128,7 @@ class Block:
 
 
 def block_of(w):
-    if not isinstance(w, Weight):
-        w = Weight(*w)
+    w = Weight.of(w)
     if w.hbar != 0:
         return Block("nondegenerate", w)
     rep = w.h - 2 * floor(w.h / 2)
@@ -224,21 +227,16 @@ def _on_coset(mod, off, N, block):
     dims = [0] * (N + 1)
     for d in range(mod.depth + 1):
         dims[off + d] = mod.dims[d]
-    act = {}
-    for g in GENERATORS:
-        s = DEPTH_SHIFT[g]
-        act[g] = {d: block(g, d - off) for d in range(N + 1)
-                  if dims[d] and 0 <= d + s <= N}
+    act = {g: {} for g in GENERATORS}
+    for g, d, _ in _block_slots(dims):
+        act[g][d] = block(g, d - off)
     return dims, act
 
 
 def _prepare(lam, mu, category):
     """The weights as Weights and, for weights in different blocks, the
     zero result; raises ValueError for an unknown category."""
-    if not isinstance(lam, Weight):
-        lam = Weight(*lam)
-    if not isinstance(mu, Weight):
-        mu = Weight(*mu)
+    lam, mu = Weight.of(lam), Weight.of(mu)
     if category not in ("O", "Otilde"):
         raise ValueError("category must be 'O' or 'Otilde'")
     if same_block(lam, mu):
@@ -351,11 +349,14 @@ def _solve_window(lam, mu, category, N, with_cocycles):
     # cocycle condition on each pair and depth, as maps V_d -> W_t;
     # phi blocks outside the unknown set are identically zero, and the
     # action each existing block meets is always inside the window.  With
-    # phi(h) = 0 a pair with h holds for every graded phi (module
-    # docstring), so only pairs of unknown generators are imposed.
+    # phi(h) = 0 a pair with h holds for every graded phi, and in a
+    # degenerate pair so does a pair of barred generators (module
+    # docstring); neither is imposed.
     system = SparseSystem(nunk)
     for a, b in _PAIRS:
         if a not in gens_used or b not in gens_used:
+            continue
+        if lam.hbar == 0 and BAR_DEGREE[a] and BAR_DEGREE[b]:
             continue
         sa, sb = DEPTH_SHIFT[a], DEPTH_SHIFT[b]
         for d in range(N + 1):
@@ -504,7 +505,6 @@ def assemble_extension(result, index=0):
     check is how the solver's output is validated end to end.  A phi block
     may be smaller than its slot: it fills the slot's top-left corner.  An
     index outside 0..len(result.cocycles) - 1 raises ValueError."""
-    from .modules import TruncatedModule
     index = exact_int(index, "index")
     if not 0 <= index < len(result.cocycles):
         raise ValueError("cocycle index %d out of range: the result has %d "
@@ -515,28 +515,21 @@ def assemble_extension(result, index=0):
     dw, aw = _on_coset(W, offw, N, W.act)
     phi = result.cocycles[index]
     dims = [dw[d] + dv[d] for d in range(N + 1)]
-    actions = {g: {} for g in GENERATORS}
-    anchor = lam if offv == 0 else mu
 
     def place(mat, blk, r0, c0):
         if blk is not None:
             for r, row in enumerate(blk.rows):
                 mat.rows[r0 + r][c0:c0 + blk.ncols] = row
 
-    for g in GENERATORS:
-        s = DEPTH_SHIFT[g]
-        gblocks = phi.get(GEN_NAMES[g], {})
-        for d in range(N + 1):
-            t = d + s
-            if dims[d] == 0 or not (0 <= t <= N):
-                continue
-            mat = Mat.zeros(dims[t], dims[d])
-            place(mat, aw[g].get(d), 0, 0)
-            place(mat, av[g].get(d), dw[t], dw[d])
-            place(mat, gblocks.get(d), 0, dw[d])
-            actions[g][d] = mat
-    return TruncatedModule(anchor, N, dims, actions, complete=False,
-                           label="extension")
+    def block(g, d, t):
+        mat = Mat.zeros(dims[t], dims[d])
+        place(mat, aw[g].get(d), 0, 0)
+        place(mat, av[g].get(d), dw[t], dw[d])
+        place(mat, phi.get(GEN_NAMES[g], {}).get(d), 0, dw[d])
+        return mat
+
+    return TruncatedModule.build(lam if offv == 0 else mu, N, dims, block,
+                                 label="extension")
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +583,7 @@ def quiver(seed, lo=-2, hi=2, category="O"):
     directions, so the symmetry of the table is computed rather than
     assumed) gets its stabilized Ext dimension.
     """
-    if not isinstance(seed, Weight):
-        seed = Weight(*seed)
+    seed = Weight.of(seed)
     lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
     blk = block_of(seed)
     if blk.kind == "nondegenerate":

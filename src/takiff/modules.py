@@ -53,6 +53,17 @@ class Weight:
         object.__setattr__(self, "h", exact_rat(self.h, "h"))
         object.__setattr__(self, "hbar", exact_rat(self.hbar, "hbar"))
 
+    @classmethod
+    def of(cls, value):
+        """value as a Weight: a Weight as it is, an (h, hbar) pair built
+        into one.  Anything else raises ValueError naming the value."""
+        if isinstance(value, Weight):
+            return value
+        if isinstance(value, (tuple, list)) and len(value) == 2:
+            return cls(value[0], value[1])
+        raise ValueError("a weight is a Weight or an (h, hbar) pair, got %r"
+                         % (value,))
+
     def down(self, k=1):
         """lambda - k*alpha."""
         return Weight(self.h - 2 * k, self.hbar)
@@ -91,10 +102,6 @@ class Character:
     def dim_at(self, d):
         return self.dims.get(d, 0)
 
-    def __eq__(self, other):
-        return (isinstance(other, Character) and self.top == other.top
-                and self.depth == other.depth and self.dims == other.dims)
-
     def to_json(self):
         return {"top": self.top.to_json(), "depth": self.depth,
                 "dims": {str(d): m for d, m in sorted(self.dims.items())}}
@@ -111,22 +118,40 @@ class TruncatedModule:
 
     dims[n] is the dimension of the depth-n slice.  actions[g][n] is the
     matrix of generator g restricted to depth n, shaped
-    (dims[n + shift(g)], dims[n]); blocks whose source is empty or whose
-    target falls outside the window are simply absent (use act()).
-    ``complete`` marks modules that genuinely vanish beyond the window, so
-    no relation check need be skipped at the boundary.
+    (dims[n + shift(g)], dims[n]).  Blocks sit at the slots _block_slots
+    lists, a nonempty source slice with its target inside the window, and
+    build() asks for a block at exactly those; any other block is absent
+    (act() reads it as zero).  ``complete`` marks modules that genuinely
+    vanish beyond the window, so no relation check need be skipped at the
+    boundary.  A negative depth or slice dimension raises ValueError.
     """
 
     def __init__(self, top, depth, dims, actions, complete=False, label=""):
-        self.top = top
+        self.top = Weight.of(top)
         self.depth = exact_int(depth, "depth")
         self.dims = [exact_int(d, "slice dimension") for d in dims]
+        if self.depth < 0 or min(self.dims, default=0) < 0:
+            raise ValueError("depth and slice dimensions must be >= 0, got "
+                             "depth %d and dims %s" % (self.depth, self.dims))
         if len(self.dims) != self.depth + 1:
             raise ValueError("depth %d needs %d slice dimensions, got %d"
                              % (self.depth, self.depth + 1, len(self.dims)))
         self.actions = actions
         self.complete = bool(complete)
         self.label = label
+
+    @classmethod
+    def build(cls, top, depth, dims, block, complete=False, label=""):
+        """The module whose block at each slot (g, n, t) of
+        _block_slots(dims) is block(g, n, t); a block of None is left
+        absent."""
+        module = cls(top, depth, dims, {g: {} for g in GENERATORS},
+                     complete, label)
+        for g, n, t in _block_slots(module.dims):
+            blk = block(g, n, t)
+            if blk is not None:
+                module.actions[g][n] = blk
+        return module
 
     def act(self, g, n):
         """Matrix of generator g on depth n (zero-shaped if out of window)."""
@@ -161,9 +186,13 @@ class TruncatedModule:
             ", complete" if self.complete else "")
 
 
-def _store(actions, dims, depth, g, n, mat):
-    if dims[n] > 0 and 0 <= n + DEPTH_SHIFT[g] <= depth:
-        actions[g][n] = mat
+def _block_slots(dims):
+    """(g, n, t) for every action block of a module with these slice
+    dimensions, generator-major: the source slice n is nonempty and
+    t = n + shift(g) lies in the window 0..len(dims) - 1."""
+    N = len(dims) - 1
+    return [(g, n, n + DEPTH_SHIFT[g]) for g in GENERATORS
+            for n in range(N + 1) if dims[n] and 0 <= n + DEPTH_SHIFT[g] <= N]
 
 
 @lru_cache(maxsize=None)
@@ -181,47 +210,40 @@ def verma(top, depth):
     coef * top.h^c * top.hbar^d to basis vector (a, b) unless p + q > 0
     (in which case it kills the highest-weight vector).
     """
-    if not isinstance(top, Weight):
-        top = Weight(*top)
+    top = Weight.of(top)
     depth = exact_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dims = [n + 1 for n in range(depth + 1)]
-    actions = {g: {} for g in GENERATORS}
     powers = {}  # (c, d) -> top.h^c * top.hbar^d
-    for g in GENERATORS:
-        shift = DEPTH_SHIFT[g]
-        for n in range(depth + 1):
-            t = n + shift
-            if not (0 <= t <= depth):
-                continue
-            mat = Mat.zeros(dims[t], dims[n])
-            for j in range(n + 1):
-                for exps, coef in _gen_on_lowering_monomial(g, n - j, j).items():
-                    a, b, c, d, p, q = exps
-                    if p or q:
-                        continue
-                    if a + b != t:
-                        raise RuntimeError(
-                            "normal form of %s * f^%d fbar^%d has a term "
-                            "f^%d fbar^%d outside depth %d"
-                            % (GEN_NAMES[g], n - j, j, a, b, t))
-                    pw = powers.get((c, d))
-                    if pw is None:
-                        pw = powers[c, d] = top.h ** c * top.hbar ** d
-                    # a first term is stored as is: 0 + term is a Fraction
-                    # addition
-                    row, term = mat.rows[b], coef * pw
-                    row[j] = row[j] + term if row[j] else term
-            actions[g][n] = mat
-    return TruncatedModule(top, depth, dims, actions, complete=False,
-                           label="verma")
+
+    def block(g, n, t):
+        mat = Mat.zeros(t + 1, n + 1)
+        for j in range(n + 1):
+            for exps, coef in _gen_on_lowering_monomial(g, n - j, j).items():
+                a, b, c, d, p, q = exps
+                if p or q:
+                    continue
+                if a + b != t:
+                    raise RuntimeError(
+                        "normal form of %s * f^%d fbar^%d has a term "
+                        "f^%d fbar^%d outside depth %d"
+                        % (GEN_NAMES[g], n - j, j, a, b, t))
+                pw = powers.get((c, d))
+                if pw is None:
+                    pw = powers[c, d] = top.h ** c * top.hbar ** d
+                # a first term is stored as is: 0 + term is a Fraction
+                # addition
+                row, term = mat.rows[b], coef * pw
+                row[j] = row[j] + term if row[j] else term
+        return mat
+
+    return TruncatedModule.build(top, depth, [n + 1 for n in range(depth + 1)],
+                                 block, label="verma")
 
 
 def simple_dims(top, depth):
     """Dimensions per depth of the simple highest-weight module L(top)."""
-    if not isinstance(top, Weight):
-        top = Weight(*top)
+    top = Weight.of(top)
     depth = exact_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -244,38 +266,29 @@ def simple_module(top, depth):
       * top(hbar) == 0 otherwise: the sl2 Verma module of weight top(h) with
         the barred half acting by zero (basis f^d v, one per depth).
     """
-    if not isinstance(top, Weight):
-        top = Weight(*top)
+    top = Weight.of(top)
     depth = exact_int(depth, "depth")
     dims = simple_dims(top, depth)  # raises for a negative depth
     if top.hbar != 0:
         m = verma(top, depth)
         m.label = "simple"
         return m
-    actions = {g: {} for g in GENERATORS}
-    if top.is_integral_dominant():
-        n = int(top.h)
-        for d in range(min(n, depth) + 1):
-            _store(actions, dims, depth, H, d,
-                   Mat(1, 1, [[Fraction(n - 2 * d)]]))
-            if d + 1 <= min(n, depth):
-                _store(actions, dims, depth, F, d,
-                       Mat(1, 1, [[Fraction(n - d)]]))
-            if d >= 1:
-                _store(actions, dims, depth, E, d,
-                       Mat(1, 1, [[Fraction(d)]]))
-        complete = depth >= n
-    else:
-        for d in range(depth + 1):
-            _store(actions, dims, depth, H, d, Mat(1, 1, [[top.h - 2 * d]]))
-            if d + 1 <= depth:
-                _store(actions, dims, depth, F, d, Mat(1, 1, [[Fraction(1)]]))
-            if d >= 1:
-                _store(actions, dims, depth, E, d,
-                       Mat(1, 1, [[d * (top.h - d + 1)]]))
-        complete = False
-    return TruncatedModule(top, depth, dims, actions, complete=complete,
-                           label="simple")
+    # one basis vector per nonempty slice d; the barred half acts by zero
+    h, dominant = top.h, top.is_integral_dominant()
+    if dominant:  # basis v_0..v_n
+        coef = {H: lambda d: h - 2 * d, F: lambda d: h - d, E: lambda d: d}
+    else:  # basis f^d v
+        coef = {H: lambda d: h - 2 * d, F: lambda d: 1,
+                E: lambda d: d * (h - d + 1)}
+
+    def block(g, d, t):
+        if g in coef and dims[t]:
+            return Mat(1, 1, [[coef[g](d)]])
+        return None
+
+    return TruncatedModule.build(top, depth, dims, block,
+                                 complete=dominant and depth >= h,
+                                 label="simple")
 
 
 def character(module):
@@ -297,17 +310,10 @@ def dualize(module):
     Same dims; the matrix of g at depth n is the transpose of the matrix of
     sigma(g) at depth n + shift(g) (which maps back onto depth n).
     """
-    dims = module.dims
-    depth = module.depth
-    actions = {g: {} for g in GENERATORS}
-    for g in GENERATORS:
-        for n in range(depth + 1):
-            t = n + DEPTH_SHIFT[g]
-            if dims[n] and 0 <= t <= depth:
-                actions[g][n] = module.act(_SIGMA[g], t).transpose()
-    return TruncatedModule(module.top, depth, dims, actions,
-                           complete=module.complete,
-                           label=("dual " + module.label).strip())
+    return TruncatedModule.build(
+        module.top, module.depth, module.dims,
+        lambda g, n, t: module.act(_SIGMA[g], t).transpose(),
+        complete=module.complete, label=("dual " + module.label).strip())
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +436,7 @@ def check_relations(module):
 def casimir_scalar(top):
     """The scalar top(hbar) * (top(h) + 2) by which the quadratic central
     element acts on any highest-weight module of weight ``top``."""
-    if not isinstance(top, Weight):
-        top = Weight(*top)
+    top = Weight.of(top)
     return top.hbar * (top.h + 2)
 
 
@@ -453,8 +458,13 @@ def casimir_action(module, n=None):
 # ---------------------------------------------------------------------------
 # category membership
 
-def _scalar_matrix_defect(mat, scalar):
-    return mat - Mat.identity(mat.nrows) * scalar
+def _defects(module, g):
+    """act(g, n) - (top - n*alpha)(g) on each nonempty slice n, lazily, for
+    g = H or HBAR."""
+    for n in range(module.depth + 1):
+        if module.dims[n]:
+            w, mat = module.weight_at(n), module.act(g, n)
+            yield mat - Mat.identity(mat.nrows) * (w.h if g == H else w.hbar)
 
 
 def _is_nilpotent(mat):
@@ -468,35 +478,17 @@ def _is_nilpotent(mat):
 
 def is_weight_diagonal(module):
     """h acts by the exact scalar top.h - 2n on each depth slice."""
-    for n in range(module.depth + 1):
-        if module.dims[n] == 0:
-            continue
-        if not _scalar_matrix_defect(module.act(H, n),
-                                     module.weight_at(n).h).is_zero():
-            return False
-    return True
+    return all(m.is_zero() for m in _defects(module, H))
 
 
 def h_is_nilpotent(module):
     """h - (top.h - 2n) is nilpotent on each depth slice."""
-    for n in range(module.depth + 1):
-        if module.dims[n] == 0:
-            continue
-        if not _is_nilpotent(_scalar_matrix_defect(module.act(H, n),
-                                                   module.weight_at(n).h)):
-            return False
-    return True
+    return all(map(_is_nilpotent, _defects(module, H)))
 
 
 def hbar_is_nilpotent(module):
     """hbar - top.hbar is nilpotent on each depth slice."""
-    for n in range(module.depth + 1):
-        if module.dims[n] == 0:
-            continue
-        if not _is_nilpotent(_scalar_matrix_defect(module.act(HBAR, n),
-                                                   module.top.hbar)):
-            return False
-    return True
+    return all(map(_is_nilpotent, _defects(module, HBAR)))
 
 
 def category_check(module, flavor="O"):
@@ -535,13 +527,16 @@ def module_to_json(module):
 
 
 def module_from_json(data):
-    top = Weight.from_json(data["top"])
-    depth = exact_int(data["depth"], "depth")
-    dims = [exact_int(x, "slice dimension") for x in data["dims"]]
-    if len(dims) != depth + 1:
-        raise ValueError("depth %d needs %d slice dimensions, got %d"
-                         % (depth, depth + 1, len(dims)))
-    actions = {g: {} for g in GENERATORS}
+    """The module module_to_json wrote.  ``complete`` must be a JSON
+    boolean, absent meaning false; any other value raises ValueError."""
+    complete = data.get("complete", False)
+    if not isinstance(complete, bool):
+        raise ValueError("complete must be true or false, got %r"
+                         % (complete,))
+    module = TruncatedModule(Weight.from_json(data["top"]), data["depth"],
+                             data["dims"], {g: {} for g in GENERATORS},
+                             complete)
+    depth, dims = module.depth, module.dims
     for name, blocks in data["actions"].items():
         if name not in GEN_BY_NAME:
             raise ValueError("unknown generator %r" % (name,))
@@ -561,6 +556,5 @@ def module_from_json(data):
                         "%s block at from_depth %d: entry (%d, %d) outside "
                         "its %dx%d shape" % (name, n, r, c, dims[t], dims[n]))
                 mat.rows[r][c] = exact_rat(val, "%s entry value" % name)
-            actions[g][n] = mat
-    return TruncatedModule(top, depth, dims, actions,
-                           complete=bool(data.get("complete", False)))
+            module.actions[g][n] = mat
+    return module

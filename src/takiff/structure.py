@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
 
-from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      DEPTH_SHIFT, exact_int)
+from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, DEPTH_SHIFT,
+                      exact_int)
 # solve_columns is imported for bench/tracer.py, which wraps it
 # under this module's name
 from .linalg import (Mat, RowSpace, _ZERO, _integer_vector, kernel_basis,
                      solve_columns)
-from .modules import (Weight, Character, TruncatedModule, _integer_blocks,
-                      character, simple_dims, verma, dualize)
+from .modules import (Weight, Character, TruncatedModule, _block_slots,
+                      _integer_blocks, simple_dims, verma)
 
 __all__ = [
     "singular_vectors", "cosingular_dim", "submodule", "quotient",
@@ -49,8 +49,7 @@ def _slice_of(module, mu):
     ValueError unless mu lies on the module's coset (same hbar-value, h-value
     differing from the top by a nonnegative even integer) within the
     window."""
-    if not isinstance(mu, Weight):
-        mu = Weight(*mu)
+    mu = Weight.of(mu)
     if mu.hbar != module.top.hbar:
         raise ValueError("weight %s has the wrong hbar-value for this coset"
                          % (mu,))
@@ -77,14 +76,9 @@ def singular_vectors(module, mu):
     dim = module.dims[d]
     if dim == 0:
         return []
-    stacked = []
-    stacked += module.act(E, d).rows
-    stacked += module.act(EBAR, d).rows
-    stacked += (module.act(H, d) - Mat.identity(dim) * mu.h).rows
-    stacked += (module.act(HBAR, d) - Mat.identity(dim) * mu.hbar).rows
-    if not stacked:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-                for i in range(dim)]
+    stacked = (module.act(E, d).rows + module.act(EBAR, d).rows
+               + (module.act(H, d) - Mat.identity(dim) * mu.h).rows
+               + (module.act(HBAR, d) - Mat.identity(dim) * mu.hbar).rows)
     return kernel_basis(Mat.from_rows(stacked, ncols=dim))
 
 
@@ -187,22 +181,19 @@ def submodule(module, generators):
     dims = [space.dim() for space in spaces]
     embedding = {d: Mat(dims[d], module.dims[d], spaces[d].basis()).transpose()
                  for d in range(N + 1)}
-    actions = {g: {} for g in GENERATORS}
-    for g in GENERATORS:
-        for d in range(N + 1):
-            t = d + DEPTH_SHIFT[g]
-            if dims[d] == 0 or not (0 <= t <= N):
-                continue
-            src = spaces[d]
-            cols = [(r, den * r[p]) for r, p in zip(src._ints, src.pivots)]
-            block = [acts[g][d + 1][p] for p in spaces[t].pivots]
-            out = [[] for _ in block]
-            for r, q in cols:
-                for row, x in zip(out, _image(block, r)):
-                    row.append(Fraction(x, q) if x else _ZERO)
-            actions[g][d] = Mat._adopt(dims[t], dims[d], out)
-    sub = TruncatedModule(module.top, N, dims, actions,
-                          complete=module.complete, label="submodule")
+
+    def block(g, d, t):
+        src = spaces[d]
+        rows = [acts[g][d + 1][p] for p in spaces[t].pivots]
+        out = [[] for _ in rows]
+        for r, p in zip(src._ints, src.pivots):
+            q = den * r[p]
+            for row, x in zip(out, _image(rows, r)):
+                row.append(Fraction(x, q) if x else _ZERO)
+        return Mat._adopt(dims[t], dims[d], out)
+
+    sub = TruncatedModule.build(module.top, N, dims, block,
+                                complete=module.complete, label="submodule")
     sub.embedding = embedding
     sub.parent = module
     return sub
@@ -234,14 +225,10 @@ def quotient(module, sub):
                              % (d, sub.embedding[d].nrows, module.dims[d]))
     spaces = [_column_space(sub.embedding[d]) for d in range(N + 1)]
     acts = _integer_blocks(module)[1]
-    for g in GENERATORS:
-        for d in range(N + 1):
-            t = d + DEPTH_SHIFT[g]
-            if not (0 <= t <= N):
-                continue
-            for r in spaces[d]._ints:
-                if any(spaces[t]._reduce(_image(acts[g][d + 1], r))):
-                    raise ValueError("not a submodule: images leave the span")
+    for g, d, t in _block_slots(module.dims):
+        for r in spaces[d]._ints:
+            if any(spaces[t]._reduce(_image(acts[g][d + 1], r))):
+                raise ValueError("not a submodule: images leave the span")
     return _quotient(module, spaces)
 
 
@@ -261,19 +248,16 @@ def _quotient(module, spaces):
             for row, p in zip(rows, pivots):
                 q.rows[r][p] -= row[c]
         proj[d] = q
-    actions = {g: {} for g in GENERATORS}
-    for g in GENERATORS:
-        for d in range(N + 1):
-            t = d + DEPTH_SHIFT[g]
-            if dims[d] == 0 or not (0 <= t <= N):
-                continue
-            kept = kept_of[d]
-            lifted = Mat._adopt(module.dims[t], dims[d],
-                                [[row[c] for c in kept]
-                                 for row in module.act(g, d).rows])
-            actions[g][d] = proj[t] * lifted
-    quo = TruncatedModule(module.top, N, dims, actions,
-                          complete=module.complete, label="quotient")
+
+    def block(g, d, t):
+        kept = kept_of[d]
+        lifted = Mat._adopt(module.dims[t], dims[d],
+                            [[row[c] for c in kept]
+                             for row in module.act(g, d).rows])
+        return proj[t] * lifted
+
+    quo = TruncatedModule.build(module.top, N, dims, block,
+                                complete=module.complete, label="quotient")
     quo.projection = proj
     quo.parent = module
     return quo
@@ -380,8 +364,7 @@ def mn_filtration(top, depth=None, guard=2):
     uniseriality (each successive quotient has exactly one singular line
     generating a character-simple submodule).
     """
-    if not isinstance(top, Weight):
-        top = Weight(*top)
+    top = Weight.of(top)
     if not top.is_integral_dominant():
         raise ValueError("top weight must have hbar-value 0 and h-value a "
                          "nonnegative integer, got %s" % (top,))
@@ -452,8 +435,6 @@ def mn_filtration(top, depth=None, guard=2):
                     candidates += 1
         if candidates != 1:
             cert["unique_simple_socle"] = False
-    # layers re-anchored at their own tops
-    layers = [Character(c.top, c.depth, c.dims) for c in layers]
     ok = all(cert.values())
     return FiltrationResult(top, n, depth, trusted, layers, ok, cert)
 
@@ -504,8 +485,7 @@ def hasse_diagram(top, depth=None, offsets=None):
     (the kernels of the maps onto the uniserial quotients).  offsets < 0,
     or a depth too shallow to hold V_offsets, raises ValueError.
     """
-    if not isinstance(top, Weight):
-        top = Weight(*top)
+    top = Weight.of(top)
     if not top.is_integral_dominant():
         raise ValueError("top weight must have hbar-value 0 and h-value a "
                          "nonnegative integer, got %s" % (top,))

@@ -84,6 +84,17 @@ def test_straighten_bad_expression(capsys):
     assert "exponent" in err
 
 
+def test_straighten_rejects_a_word_nested_too_deeply(capsys):
+    # pushing e through f^1999 recurses once per letter: an error naming the
+    # length, not a RecursionError traceback
+    code, out, err = run(capsys, "straighten", "e f^1999")
+    assert (code, out) == (1, "")
+    assert err == "error: a word of 2000 letters nests too deeply to " \
+                  "straighten\n"
+    code, out, _ = run(capsys, "straighten", "e f^3")
+    assert (code, out) == (0, "-6*f^2 + 3*f^2*h + f^3*e\n")
+
+
 def test_casimir_check(capsys):
     code, out, _ = run(capsys, "casimir-check")
     assert code == 0

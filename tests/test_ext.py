@@ -291,6 +291,30 @@ def test_layouts_agree_on_nondegenerate_weights(h, hbar, cat, window):
     _assert_layouts_agree(lam, lam, cat, window)
 
 
+@pytest.mark.parametrize("cat", ["O", "Otilde"])
+def test_hbar_rescaling_keeps_every_window(cat):
+    # xbar -> c xbar is an automorphism keeping h and the depth grading, so
+    # L(3, 1) and L(3, c) give the same dimension window by window
+    for window in (3, 4, 5):
+        dims = {c: ext1((3, c), (3, c), cat, window=window,
+                        with_cocycles=False).dim
+                for c in (1, Fraction(1, 7), -5, Fraction(-9, 4))}
+        assert len(set(dims.values())) == 1, (cat, window, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                        Fraction(1, 3), Fraction(2, 3)]),
+       st.integers(-4, 3), st.integers(-4, 3), _CATS)
+def test_random_coset_pairs_are_symmetric_and_follow_the_rule(rep, m1, m2,
+                                                             cat):
+    # offsets -4..3 reach past the QUIVER_WINDOWS the paper-check covers
+    w1, w2 = Weight(rep + 2 * m1, 0), Weight(rep + 2 * m2, 0)
+    there = stabilize_ext(w1, w2, cat).dim
+    assert there == stabilize_ext(w2, w1, cat).dim == \
+        expected_arrow_dim(w1, w2, cat), (w1, w2, cat)
+
+
 @pytest.mark.parametrize("cat, want", [("O", 1), ("Otilde", 2)])
 def test_deep_window_rank_only_solve(cat, want):
     lam = Weight(3, 1)

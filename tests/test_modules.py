@@ -3,6 +3,7 @@ forms, simples, duality, relation checking, Casimir, serialization."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS,
                             GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS)
 from takiff import modules as modules_mod
-from takiff.ext import assemble_extension, ext1
+from takiff.ext import assemble_extension, block_of, ext1, quiver
+from takiff.structure import (cosingular_dim, hasse_diagram, mn_filtration,
+                              singular_vectors)
 from takiff.linalg import Mat
 from takiff.modules import (ALPHA, Character, TruncatedModule, Weight,
                             casimir_action, casimir_scalar, category_check,
@@ -202,6 +205,70 @@ def test_module_rejects_non_integer_depth_and_dims():
         TruncatedModule(Weight(0, 0), 1.5, [1, 1], {})
     with pytest.raises(ValueError, match="slice dimension must be an integer"):
         TruncatedModule(Weight(0, 0), 1, [1, Fraction(3, 2)], {})
+
+
+def test_module_rejects_negative_depth_and_dims():
+    # a negative slice dimension used to pass, and check_relations then
+    # reported every pair as checked
+    with pytest.raises(ValueError, match="must be >= 0, got depth 1 and "
+                                         r"dims \[1, -1\]"):
+        TruncatedModule(Weight(0, 0), 1, [1, -1], {})
+    with pytest.raises(ValueError, match="must be >= 0, got depth -1"):
+        TruncatedModule(Weight(0, 0), -1, [], {})
+
+
+def test_build_fills_exactly_the_block_slots():
+    dims = [1, 0, 2, 1]
+    seen = []
+
+    def block(g, n, t):
+        seen.append((g, n, t))
+        return None if g == H else Mat.zeros(dims[t], dims[n])
+
+    m = TruncatedModule.build(Weight(0, 0), 3, dims, block, label="x")
+    # generator-major; a nonempty source slice and a target in the window
+    assert seen == sorted(seen) == modules_mod._block_slots(dims)
+    assert {(n, t) for g, n, t in seen if g == F} == {(0, 1), (2, 3)}
+    assert {(n, t) for g, n, t in seen if g == E} == {(2, 1), (3, 2)}
+    assert len(seen) == 14
+    assert all(t == n + DEPTH_SHIFT[g] for g, n, t in seen)
+    # a None block is left absent, and act() reads it as zero
+    assert m.actions[H] == {} and sorted(m.actions[F]) == [0, 2]
+    assert m.act(H, 2) == Mat.zeros(2, 2)
+    assert (m.label, m.complete, m.dims) == ("x", False, dims)
+
+
+def test_weight_of_takes_a_weight_or_a_pair():
+    w = Weight(3, Fraction(1, 2))
+    assert Weight.of(w) is w
+    assert Weight.of((3, Fraction(1, 2))) == w == Weight.of([3, "1/2"])
+
+
+@pytest.mark.parametrize("bad", [5, None, (1, 2, 3)])
+def test_weight_of_rejects_anything_else(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Weight.of(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: verma(bad, 3),
+    lambda bad: simple_module(bad, 3),
+    lambda bad: simple_dims(bad, 3),
+    lambda bad: casimir_scalar(bad),
+    lambda bad: block_of(bad),
+    lambda bad: quiver(bad),
+    lambda bad: ext1(bad, (0, 0)),
+    lambda bad: ext1((0, 0), bad),
+    lambda bad: singular_vectors(verma(Weight(0, 0), 3), bad),
+    lambda bad: cosingular_dim(verma(Weight(0, 0), 3), bad),
+    lambda bad: mn_filtration(bad),
+    lambda bad: hasse_diagram(bad),
+])
+@pytest.mark.parametrize("bad", [5, None, (1, 2, 3)])
+def test_entry_points_reject_a_bad_weight_with_value_error(call, bad):
+    # these used to raise TypeError from unpacking the value
+    with pytest.raises(ValueError, match="a weight is a Weight or an "):
+        call(bad)
 
 
 @pytest.mark.parametrize("build", [verma, simple_module])
@@ -521,6 +588,23 @@ def test_module_json_roundtrip():
         assert module_from_json(module_to_json(s)) == s
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_module_from_json_complete_must_be_a_boolean(value):
+    # bool("false") is True
+    data = module_to_json(simple_module(Weight(2, 0), 4))
+    data["complete"] = value
+    with pytest.raises(ValueError, match="complete must be true or false, "
+                                         "got %s" % re.escape(repr(value))):
+        module_from_json(data)
+
+
+def test_module_from_json_complete_defaults_to_false():
+    data = module_to_json(simple_module(Weight(2, 0), 4))
+    assert module_from_json(data).complete is True
+    del data["complete"]
+    assert module_from_json(data).complete is False
+
+
 def _corrupt_verma_json(edit):
     data = module_to_json(verma(Weight(1, 0), 2))
     edit(data)
@@ -555,6 +639,8 @@ def _corrupt_verma_json(edit):
      "h entry value must be an exact rational .* got 0.1"),
     (lambda d: d["top"].update(hbar=0.5),
      "hbar must be an exact rational .* got 0.5"),
+    (lambda d: d["dims"].__setitem__(1, -2),
+     r"must be >= 0, got depth 2 and dims \[1, -2, 3\]"),
 ])
 def test_module_from_json_rejects_inconsistent_blocks(edit, message):
     with pytest.raises(ValueError, match=message):

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import os
 import runpy
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,46 @@ def test_no_floats_in_package(path):
     assert lines == [], "%s has floats at lines %s" % (path.name, lines)
 
 
+# names bench/tracer.py wraps at a module, so the module must bind them
+# even where it does not call them
+TRACED_NAMES = {site for _, sites in TRACER["FUNCTIONS"] for site in sites}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports_in_package(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = "takiff." + path.stem
+    unused = sorted(name for name in imported - used
+                    if (module, name) not in TRACED_NAMES)
+    assert unused == [], "%s imports %s without using them" % (path.name,
+                                                               unused)
+
+
+def test_modules_are_built_only_inside_modules_py():
+    # TruncatedModule.build owns the block layout; a direct constructor
+    # call elsewhere would lay the blocks out by a rule of its own
+    callers = [path.name for path in SOURCES if path.name != "modules.py"
+               and "TruncatedModule(" in path.read_text()]
+    assert callers == []
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_demos_run_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout
+
+
 def test_tracer_reads_sparse_system_state():
     # the tracer's eliminate wrapper reads _eliminated to skip the calls
     # that return at once, and counts the nonzeros of the row dicts in
@@ -108,7 +152,8 @@ def test_stabilize_calls_ext1_through_the_module(monkeypatch, with_cocycles):
 def test_rank_only_windows_build_one_system_each(monkeypatch):
     # a rank-only window takes dim B^1 in closed form, so it builds only the
     # cocycle system; in O that system gets no equation of a pair with h,
-    # which would be all zero, nor any other all-zero row
+    # nor, for hbar = 0, of a pair of barred generators, which would be all
+    # zero, nor any other all-zero row
     from takiff import ext
 
     systems, zero_rows = [], []
@@ -124,5 +169,9 @@ def test_rank_only_windows_build_one_system_each(monkeypatch):
             super().add_row(row)
 
     monkeypatch.setattr(ext, "SparseSystem", Recording)
-    assert ext.stabilize_ext((3, 1), (3, 1), "O").dim == 1
-    assert len(systems) == 3 and zero_rows == []
+    half = Fraction(1, 2)
+    for lam, mu in [((3, 1), (3, 1)), ((0, 0), (-2, 0)),
+                    ((half, 0), (half, 0)), ((3, 0), (1, 0))]:
+        systems.clear()
+        assert ext.stabilize_ext(lam, mu, "O").dim == 1
+        assert len(systems) == 3 and zero_rows == [], (lam, mu)
