@@ -21,6 +21,6 @@ from .structure import (singular_vectors, submodule, quotient,
                         SubmodulePoset)
 from .ext import (block_of, same_block, Block, ext1, stabilize_ext,
                   assemble_extension, ExtResult, StabilizationError,
-                  quiver, Quiver, DEFAULT_DEPTH_CAP)
+                  quiver, Quiver)
 
 __version__ = "0.1.0"

@@ -51,6 +51,7 @@ __all__ = [
 
 F, FBAR, H, HBAR, E, EBAR = range(6)
 GENERATORS = (F, FBAR, H, HBAR, E, EBAR)
+_GENERATOR_IDS = frozenset(GENERATORS)
 GEN_NAMES = ("f", "fbar", "h", "hbar", "e", "ebar")
 GEN_BY_NAME = {name: g for g, name in enumerate(GEN_NAMES)}
 
@@ -86,6 +87,17 @@ def exact_rat(value, name):
             pass
     raise ValueError("%s must be an exact rational (an int or a 'p/q' "
                      "string), got %r" % (name, value))
+
+
+def _check_letters(letters, what):
+    """Raise ValueError naming the first entry of the tuple letters that
+    is not a generator id 0..5, and its position; what names the tuple."""
+    if _GENERATOR_IDS.issuperset(letters):
+        return
+    for i, g in enumerate(letters):
+        if g not in _GENERATOR_IDS:
+            raise ValueError("%s %r: letter %d is %r, not a generator id "
+                             "0..5" % (what, letters, i, g))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +139,7 @@ _PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
 
 def bracket(x, y):
     """Bracket of two generators (given as ids 0..5) as a {gen: Fraction} dict."""
+    _check_letters((x, y), "bracket")
     return {g: Fraction(c) for g, c in _BRACKET[(x, y)]}
 
 
@@ -139,10 +152,10 @@ def lie_bracket(a, b):
     >>> lie_bracket({E: 1}, {FBAR: 1})
     {3: Fraction(1, 1)}
     """
-    if isinstance(a, int):
-        a = {a: 1}
-    if isinstance(b, int):
-        b = {b: 1}
+    a = a if isinstance(a, dict) else {a: 1}
+    b = b if isinstance(b, dict) else {b: 1}
+    _check_letters(tuple(a), "first bracket argument")
+    _check_letters(tuple(b), "second bracket argument")
     out = {}
     for x, cx in a.items():
         for y, cy in b.items():
@@ -216,6 +229,7 @@ def straighten_word(word, coefficient=Fraction(1)):
     [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
     """
     word = tuple(word)
+    _check_letters(word, "word")
     # the longest sorted suffix is its own normal form, so straightening
     # starts from it and pushes in only the letters before it
     k = max(len(word) - 1, 0)
@@ -347,8 +361,17 @@ class EnvelopingElement(dict):
 
     @classmethod
     def from_json(cls, data):
-        return cls({tuple(exact_int(e, "exp") for e in t["exp"]):
-                    exact_rat(t["coef"], "coef") for t in data["terms"]})
+        """The element to_json wrote.  Each term's exp must be six
+        non-negative integers; anything else raises ValueError naming the
+        term."""
+        terms = {}
+        for t in data["terms"]:
+            exps = tuple(exact_int(e, "exp") for e in t["exp"])
+            if len(exps) != 6 or min(exps) < 0:
+                raise ValueError("exp must be six non-negative integers, "
+                                 "got term %r" % (t,))
+            terms[exps] = exact_rat(t["coef"], "coef")
+        return cls(terms)
 
 
 def element(*words_and_coefs):

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every numeric option takes exact rationals written as p or p/q.  Exit status
-is 0 on success and 1 for bad input or a failed check; the environment
-variable TAKIFF_DEPTH_CAP bounds how far Ext windows may slide.
+is 0 on success and 1 for bad input or a failed check, such as a stabilized
+Ext dimension that is not flat on its three windows.  Nothing is read from
+the environment.
 """
 
 import argparse
@@ -381,7 +382,7 @@ def build_parser():
 
     p = sub.add_parser("ext",
                        help="dim Ext^1 between two simples, stabilized "
-                            "over growing windows unless --window is given")
+                            "over three windows unless --window is given")
     _add_weight_options(p)
     p.add_argument("--mu-h", dest="mu_h", type=_rational, required=True,
                    metavar="P/Q")

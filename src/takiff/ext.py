@@ -31,24 +31,25 @@ Pairs of simples in different blocks admit no extensions (their central
 characters differ), so ext1 short-circuits to 0 unless the two weights are
 equal nondegenerate weights or lie in one hbar = 0 coset.
 
-Truncation is handled by running the computation at three consecutive
-window depths and requiring the dimension to be flat; each window is solved
-once, for its rank only.  The starting window is sized past both modules'
-supports and slides upward (to the cap given by the environment variable
-TAKIFF_DEPTH_CAP, default 40) if not yet flat.  Representatives, when
-asked for, come from one more solve of the deepest of the three windows,
-whose dimension must agree with the rank-only solve of the same window.
+Truncation is handled by solving three consecutive windows, base,
+base + 1 and base + 2, and requiring the dimension to be flat on them.
+base is sized past both modules' supports (or given by the caller); the
+windows never slide, and a dimension that moves raises
+StabilizationError.  Each window is solved once: the first two rank only,
+the third with representatives when they are asked for.  That third solve
+is laid out top first, so its dimension, compared with the two rank-only
+ones below it, also cross-checks the two layouts.
 
 The unknowns are laid out in blocks, one per (source depth, generator), in
 one of two depth orders.  A solve that draws representatives (ext1 with
-cocycles, and the final solve of stabilize_ext with cocycles) lays them
+cocycles, and the third window of stabilize_ext with cocycles) lays them
 out top depth first: the column order decides which unknowns are free, so
 it decides the kernel basis and with it the representatives (and the
 golden cocycle files).  A solve that reads only ranks, that is ext1
-without cocycles and every window stabilize_ext slides over, lays them out
-deepest depth first.  Ranks do not depend on the order, and eliminating
-the deep, wide slices first leaves far less fill-in (measurements in
-BENCH_colorder.json).
+without cocycles and each window of stabilize_ext that draws none, lays
+them out deepest depth first.  Ranks do not depend on the order, and
+eliminating the deep, wide slices first leaves far less fill-in
+(measurements in BENCH_colorder.json).
 
 Only the cocycle system is needed for the dimension, because the
 coboundary rank is known in closed form:
@@ -74,7 +75,6 @@ echelons; representatives are back-substituted through them, so Fractions
 appear only in the kernel vectors and the reduced vectors drawn.
 """
 
-import os
 from dataclasses import dataclass, field
 from math import floor, lcm
 
@@ -87,24 +87,7 @@ from .modules import (TruncatedModule, Weight, _block_slots, _blocks_to_json,
 __all__ = [
     "Block", "block_of", "same_block", "ext1", "stabilize_ext", "ExtResult",
     "StabilizationError", "assemble_extension", "quiver", "Quiver",
-    "DEFAULT_DEPTH_CAP", "depth_cap",
 ]
-
-DEFAULT_DEPTH_CAP = 40
-
-
-def depth_cap():
-    raw = os.environ.get("TAKIFF_DEPTH_CAP")
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError("TAKIFF_DEPTH_CAP must be a positive integer, "
-                         "got %r" % raw)
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +158,14 @@ class ExtResult:
 
 
 class StabilizationError(RuntimeError):
-    """Raised when the Ext dimension keeps drifting with the window depth."""
+    """Raised when the Ext dimension is not flat on three consecutive
+    windows; history lists the (window, dim) pairs solved."""
 
-    def __init__(self, lam, mu, category, history, note=None):
+    def __init__(self, lam, mu, category, history):
         self.history = history
-        msg = ("Ext^1(%s, %s) in %s did not stabilize within the depth cap; "
-               "window -> dim: %s" % (lam, mu, category, history))
-        if note:
-            msg = "Ext^1(%s, %s) in %s: %s" % (lam, mu, category, note)
-        super().__init__(msg)
+        super().__init__("Ext^1(%s, %s) in %s is not flat on three "
+                         "consecutive windows; window -> dim: %s"
+                         % (lam, mu, category, history))
 
 
 # ---------------------------------------------------------------------------
@@ -448,54 +430,32 @@ def _add_representatives(result, system, bsys, blocks):
     return result
 
 
-def stabilize_ext(lam, mu, category="O", start=None, cap=None,
-                  with_cocycles=False):
-    """Ext^1 with the truncation window slid until the dimension is flat on
-    three consecutive depths.  Raises StabilizationError at the depth cap.
+def stabilize_ext(lam, mu, category="O", start=None, with_cocycles=False):
+    """Ext^1 on the three windows base, base + 1 and base + 2, where base
+    is start or, by default, the first window past both modules' supports.
+    Raises StabilizationError at the first window whose dimension differs
+    from the first one's.
 
-    Every window is solved once, rank only: one system assembled and
-    eliminated per window.  With cocycles the deepest of the three flat
-    windows is solved again in the layout representatives are drawn in; a
-    dimension that differs between the two layouts raises RuntimeError."""
+    Each window is solved once: the first two rank only, the third with
+    cocycles when they are asked for, in the top-first layout, so a layout
+    disagreement on the third window also raises StabilizationError."""
     if start is not None:
         start = exact_int(start, "start")
-    if cap is not None:
-        cap = exact_int(cap, "cap")
     lam, mu, zero = _prepare(lam, mu, category)
     if zero is not None:
         return zero
-    cap = depth_cap() if cap is None else cap
     base = _default_window(lam, mu) if start is None else start
-    results = {}  # window -> its rank-only ExtResult
-
-    if base + 2 > cap:
-        raise StabilizationError(
-            lam, mu, category, [],
-            note="depth cap %d leaves no room for windows %d..%d"
-                 % (cap, base, base + 2))
-    N = base
-    while N + 2 <= cap:
-        for M in (N, N + 1, N + 2):
-            if M not in results:
-                results[M] = ext1(lam, mu, category, window=M,
-                                  with_cocycles=False)
-        seq = [results[M].dim for M in (N, N + 1, N + 2)]
-        if seq[0] == seq[1] == seq[2]:
-            final = results[N + 2]
-            if with_cocycles:
-                final = ext1(lam, mu, category, window=N + 2)
-                if final.dim != seq[2]:
-                    raise RuntimeError(
-                        "Ext^1(%s, %s) in %s at window %d: dim %d in the "
-                        "cocycle layout but %d in the rank-only layout"
-                        % (lam, mu, category, N + 2, final.dim, seq[2]))
-            final.stabilized = True
-            final.depths_checked = [N, N + 1, N + 2]
-            final.dim_sequence = seq
-            return final
-        N += 1
-    raise StabilizationError(lam, mu, category,
-                             [(M, results[M].dim) for M in sorted(results)])
+    history = []
+    for N in (base, base + 1, base + 2):
+        result = ext1(lam, mu, category, window=N,
+                      with_cocycles=with_cocycles and N == base + 2)
+        history.append((N, result.dim))
+        if result.dim != history[0][1]:
+            raise StabilizationError(lam, mu, category, history)
+    result.stabilized = True
+    result.depths_checked = [N for N, _ in history]
+    result.dim_sequence = [dim for _, dim in history]
+    return result
 
 
 def assemble_extension(result, index=0):

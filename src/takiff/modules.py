@@ -89,7 +89,9 @@ ALPHA = Weight(2, 0)
 @dataclass
 class Character:
     """Depth -> dimension, anchored at a top weight (depth d has h-value
-    top.h - 2d).  ``depth`` records the truncation window; dims omit zeros."""
+    top.h - 2d).  ``depth`` records the truncation window; dims omit zeros.
+    A negative depth, or a nonzero dimension at a depth outside
+    0..depth, raises ValueError."""
     top: Weight
     depth: int
     dims: dict
@@ -98,6 +100,12 @@ class Character:
         self.depth = exact_int(self.depth, "depth")
         self.dims = {exact_int(d, "depth"): exact_int(m, "dimension")
                      for d, m in self.dims.items() if m}
+        if self.depth < 0:
+            raise ValueError("depth must be >= 0, got %d" % self.depth)
+        outside = sorted(d for d in self.dims if not 0 <= d <= self.depth)
+        if outside:
+            raise ValueError("dimensions at depths %s lie outside the window "
+                             "0..%d" % (outside, self.depth))
 
     def dim_at(self, d):
         return self.dims.get(d, 0)

@@ -1,5 +1,6 @@
 """Straightening, bracket axioms, gradings, and the Casimir element."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                             _BRACKET, EnvelopingElement, _gen_times_word,
-                            casimir, element,
+                            bracket, casimir, element,
                             lie_bracket, multiply, straighten,
                             straighten_word, word_bar_degree, word_h_weight,
                             word_to_exponents)
@@ -220,6 +221,44 @@ def test_element_json_roundtrip():
 def test_element_from_json_rejects_floats(term, message):
     with pytest.raises(ValueError, match=message):
         EnvelopingElement.from_json({"terms": [term]})
+
+
+def test_element_json_roundtrip_keeps_the_constant_term():
+    x = element(((E, F), 3), ((), Fraction(-1, 2)))
+    assert (0,) * 6 in x
+    assert EnvelopingElement.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("exp", [
+    [0, 0, 0, 0, 0, 0, 1],   # a 7-tuple key that would print as 1
+    [-1, 0, 0, 0, 0, 0],     # f^-1
+    [1, 2],                  # IndexError when printed
+])
+def test_element_from_json_rejects_bad_exponent_vectors(exp):
+    term = {"exp": exp, "coef": "1"}
+    with pytest.raises(ValueError, match=re.escape(
+            "exp must be six non-negative integers, got term %r" % term)):
+        EnvelopingElement.from_json({"terms": [term]})
+
+
+@pytest.mark.parametrize("bad", [-1, 6, "e"])
+@pytest.mark.parametrize("call, position", [
+    (lambda g: straighten_word((E, g)), 1),
+    # a tuple with a non-int letter is read as a list of (word, coef) pairs
+    (lambda g: straighten((g,)) if isinstance(g, int)
+     else straighten([((g,), 1)]), 0),
+    (lambda g: straighten({(F, H, g): 2}), 2),
+    (lambda g: element(((g, F), 1)), 0),
+    (lambda g: lie_bracket(g, E), 0),
+    (lambda g: lie_bracket({E: 1}, {H: 2, g: 1}), 1),
+    (lambda g: bracket(E, g), 1),
+])
+def test_bad_generator_ids_are_rejected(call, position, bad):
+    # -1 used to index the last exponent (ebar), 6 and "e" raised KeyError
+    # or IndexError
+    with pytest.raises(ValueError, match=r"letter %d is %r, not a generator "
+                       r"id 0\.\.5" % (position, bad)):
+        call(bad)
 
 
 def test_repr_is_readable():

@@ -200,17 +200,19 @@ def test_hasse_rejects_negative_offsets(capsys):
 
 
 def test_ext_depth_cap_failure(capsys, monkeypatch):
-    monkeypatch.setenv("TAKIFF_DEPTH_CAP", "3")
-    code, _, err = run(capsys, "ext", "--h", "3", "--mu-h", "1")
-    assert code == 1
-    assert "depth cap" in err
+    # windows that report dims 1, 2: the three-window cap stops the
+    # stabilized ext at the second, and main reports it
+    from takiff import ext
+    dims = iter([1, 2])
 
+    def drifting(lam, mu, category, window, with_cocycles):
+        return ext.ExtResult(lam, mu, category, window, next(dims))
 
-def test_ext_bad_depth_cap_is_reported(capsys, monkeypatch):
-    monkeypatch.setenv("TAKIFF_DEPTH_CAP", "abc")
-    code, _, err = run(capsys, "ext", "--h", "3", "--mu-h", "1")
-    assert code == 1
-    assert "TAKIFF_DEPTH_CAP" in err and "'abc'" in err
+    monkeypatch.setattr(ext, "ext1", drifting)
+    code, out, err = run(capsys, "ext", "--h", "3", "--mu-h", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Ext^1((3, 0), (1, 0)) in O is not flat ")
+    assert "window -> dim: [(5, 1), (6, 2)]" in err
 
 
 def test_quiver_dot(capsys):

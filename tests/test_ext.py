@@ -18,8 +18,8 @@ from takiff.linalg import Mat, SparseSystem
 from takiff.modules import (TruncatedModule, Weight, _integer_blocks,
                             category_check, check_relations)
 from takiff.ext import (Block, ExtResult, StabilizationError,
-                        assemble_extension, block_of, depth_cap, ext1,
-                        quiver, same_block, stabilize_ext)
+                        assemble_extension, block_of, ext1, quiver,
+                        same_block, stabilize_ext)
 from takiff.conformance import EXT_TABLE, expected_arrow_dim
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,7 +67,6 @@ def test_category_is_validated_before_the_block_shortcut(fn):
     (ext1, {"window": Fraction(9, 2)},
      r"window must be an integer, got Fraction\(9, 2\)"),
     (stabilize_ext, {"start": 3.7}, "start must be an integer, got 3.7"),
-    (stabilize_ext, {"cap": 7.9}, "cap must be an integer, got 7.9"),
 ])
 def test_window_arguments_must_be_integers(fn, kwargs, message, mu):
     # int() would truncate 4.9 to 4; also across blocks, where no window
@@ -80,7 +79,7 @@ def test_integral_fraction_windows_are_accepted():
     lam, mu = Weight(0, 0), Weight(-2, 0)
     assert ext1(lam, mu, "O", window=Fraction(4)).to_json() == \
         ext1(lam, mu, "O", window=4).to_json()
-    r = stabilize_ext(lam, mu, "O", start=Fraction(3), cap=Fraction(8))
+    r = stabilize_ext(lam, mu, "O", start=Fraction(3))
     assert r.depths_checked == [3, 4, 5]
 
 
@@ -112,9 +111,54 @@ def test_stabilize_reports_windows():
     assert r.dims_v and r.dims_w
 
 
-def test_stabilize_raises_when_capped():
-    with pytest.raises(StabilizationError):
-        stabilize_ext(Weight(3, 0), Weight(1, 0), "O", cap=3)
+def test_stabilize_raises_when_capped(monkeypatch):
+    # three windows are all stabilize_ext solves: windows that report dims
+    # 1, 2 stop it at the second, and nothing slides on to look for flatness
+    dims = iter([1, 2])
+
+    def drifting(lam, mu, category, window, with_cocycles):
+        return ExtResult(lam, mu, category, window, next(dims))
+
+    monkeypatch.setattr(ext_mod, "ext1", drifting)
+    lam, mu = Weight(3, 0), Weight(1, 0)
+    w = ext_mod._default_window(lam, mu)
+    with pytest.raises(StabilizationError,
+                       match=r"Ext\^1\(\(3, 0\), \(1, 0\)\) in O is not flat "
+                       r"on three consecutive windows; window -> dim: "
+                       r"\[\(%d, 1\), \(%d, 2\)\]" % (w, w + 1)) as exc:
+        stabilize_ext(lam, mu, "O")
+    assert exc.value.history == [(w, 1), (w + 1, 2)]
+
+
+def _assert_flat_from_the_default_window(lam, mu, cat):
+    r = stabilize_ext(lam, mu, cat)
+    assert r.stabilized and r.dim_sequence == [r.dim] * 3, (lam, mu, cat)
+    assert r.depths_checked[0] == ext_mod._default_window(lam, mu), \
+        (lam, mu, cat)
+
+
+# stabilize_ext never slides past its first three windows; these pairs are
+# the evidence that no input needs it to: each is flat from the default
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                        Fraction(1, 3), Fraction(-5, 3)]),
+       st.integers(-5, 4), st.integers(-5, 4),
+       st.sampled_from(["O", "Otilde"]))
+def test_coset_pairs_are_flat_from_the_default_window(rep, m1, m2, cat):
+    _assert_flat_from_the_default_window(Weight(rep + 2 * m1, 0),
+                                         Weight(rep + 2 * m2, 0), cat)
+
+
+@pytest.mark.parametrize("cat", ["O", "Otilde"])
+@pytest.mark.parametrize("lam, mu", [
+    # far-apart dominant pairs: the windows start at offset + support + 2
+    ((12, 0), (-14, 0)), ((13, 0), (-15, 0)), ((-14, 0), (12, 0)),
+    # nondegenerate self-pairs
+    ((3, 1), (3, 1)), ((Fraction(7, 3), Fraction(-5, 2)),) * 2,
+    ((Fraction(-1, 2), 3),) * 2,
+])
+def test_fixed_pairs_are_flat_from_the_default_window(lam, mu, cat):
+    _assert_flat_from_the_default_window(Weight.of(lam), Weight.of(mu), cat)
 
 
 @pytest.mark.parametrize("with_cocycles", [False, True])
@@ -129,10 +173,9 @@ def test_stabilize_solves_each_window_once(monkeypatch, with_cocycles):
     monkeypatch.setattr(ext_mod, "_solve_window", counting_solve)
     lam = Weight(3, 1)
     r = stabilize_ext(lam, lam, "O", with_cocycles=with_cocycles)
-    # every window is solved rank only, deepest first; representatives
-    # come from one more solve of the final window, laid out top first
-    assert solved == [(3, False), (4, False), (5, False)] + \
-        ([(5, True)] if with_cocycles else [])
+    # the first two windows are solved rank only, deepest first; the third
+    # draws the representatives when asked, laid out top first
+    assert solved == [(3, False), (4, False), (5, with_cocycles)]
     golden = json.loads(GOLDEN_COCYCLES.read_text())
     assert (r.dim, r.depths_checked, r.dim_sequence) == \
         (golden["dim"], golden["depths_checked"], golden["dim_sequence"])
@@ -141,8 +184,9 @@ def test_stabilize_solves_each_window_once(monkeypatch, with_cocycles):
 
 
 def test_stabilize_cross_checks_the_two_layouts(monkeypatch):
-    # the final window is solved in both layouts; a cocycle rank one
-    # higher in the top-first layout only gives that layout dim 0
+    # with cocycles the third window is solved top first and the two below
+    # it deepest first; a cocycle rank one higher in the top-first layout
+    # only gives the third window dim 0
     solve = ext_mod._solve_window
     rank = SparseSystem.rank
 
@@ -162,10 +206,10 @@ def test_stabilize_cross_checks_the_two_layouts(monkeypatch):
     monkeypatch.setattr(ext_mod, "_solve_window", skewed_solve)
     lam = Weight(3, 1)
     assert stabilize_ext(lam, lam, "O").dim == 1
-    with pytest.raises(RuntimeError, match=r"\(3, 1\), \(3, 1\)\) in O at "
-                       r"window 5: dim 0 in the cocycle layout but 1 in the "
-                       r"rank-only layout"):
+    with pytest.raises(StabilizationError,
+                       match=r"\(3, 1\), \(3, 1\)\) in O is not flat") as exc:
         stabilize_ext(lam, lam, "O", with_cocycles=True)
+    assert exc.value.history == [(3, 1), (4, 1), (5, 0)]
 
 
 @pytest.mark.parametrize("lam, mu, cat", [
@@ -206,13 +250,6 @@ def test_missing_representatives_raise_with_the_weights(monkeypatch):
     lam = Weight(Fraction(1, 2), 0)
     with pytest.raises(RuntimeError, match=r"\(1/2, 0\), \(1/2, 0\)"):
         ext1(lam, lam, "O", window=2)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-def test_depth_cap_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setenv("TAKIFF_DEPTH_CAP", value)
-    with pytest.raises(ValueError, match="TAKIFF_DEPTH_CAP.*%r" % value):
-        depth_cap()
 
 
 def test_category_O_never_exceeds_Otilde():

@@ -539,6 +539,20 @@ def test_character_accepts_integral_fractions():
                                           [*ch.dims, *ch.dims.values()])
 
 
+@pytest.mark.parametrize("depth, dims, message", [
+    (-1, {}, "depth must be >= 0, got -1"),
+    (2, {5: 1}, r"dimensions at depths \[5\] lie outside the window 0\.\.2"),
+    (2, {-1: 1, 0: 1}, r"depths \[-1\] lie outside"),
+])
+def test_character_rejects_windows_no_module_has(depth, dims, message):
+    with pytest.raises(ValueError, match=message):
+        Character(Weight(0, 0), depth, dims)
+
+
+def test_character_drops_zero_dimensions_before_checking_depths():
+    assert Character(Weight(0, 0), 2, {2: 1, 5: 0}).dims == {2: 1}
+
+
 def _character_json(**changes):
     data = {"top": {"h": "1", "hbar": "0"}, "depth": 3,
             "dims": {"0": 1, "1": 2}}
@@ -553,6 +567,8 @@ def _character_json(**changes):
     (_character_json(dims={"1.5": 1}), "depth must be an integer"),
     (_character_json(top={"h": 0.1, "hbar": "0"}),
      "h must be an exact rational"),
+    (_character_json(depth=-3), "depth must be >= 0, got -3"),
+    (_character_json(dims={"4": 1}), r"depths \[4\] lie outside"),
 ])
 def test_character_from_json_rejects_floats_and_non_integers(data, message):
     with pytest.raises(ValueError, match=message):
