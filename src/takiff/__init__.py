@@ -10,7 +10,7 @@ resulting Gabriel quivers (DOT output).
 """
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      EnvelopingElement, bracket, lie_bracket, straighten,
+                      EnvelopingElement, lie_bracket, straighten,
                       straighten_word, multiply, casimir)
 from .modules import (Weight, ALPHA, Character, TruncatedModule, verma,
                       simple_module, simple_dims, character, dualize,

@@ -31,21 +31,27 @@ exponent tuple with zero coefficients dropped.
 
 The key fact that makes straightening cheap here: for any two generators x > y
 the bracket [x, y] is a combination of generators that are >= y in the PBW
-order.  Hence pushing a single generator into an already sorted word from the
-left never creates disorder further right, and the "generator times sorted
-word" kernel below is closed under its own recursion (and memoizable -- it
-does not depend on any highest weight).
+order.  Hence pushing a single generator g into a PBW monomial x^a r from the
+left (x its lowest letter, r the rest) never creates disorder further right:
+
+    g x^a r = sum_k C(a, k) x^(a-k) ((-ad x)^k g) r,
+
+where (-ad x)^k g involves only letters >= x.  So the "generator times
+monomial" kernel below passes a whole power per step, each recursion is on
+a monomial with one distinct letter fewer, calls nest at most six deep, and
+the kernel is memoizable on (generator, exponent vector) -- it does not
+depend on any highest weight.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 __all__ = [
     "F", "FBAR", "H", "HBAR", "E", "EBAR", "GENERATORS", "GEN_NAMES",
-    "GEN_BY_NAME", "H_WEIGHT", "BAR_DEGREE", "DEPTH_SHIFT",
-    "bracket", "lie_bracket", "EnvelopingElement", "element",
-    "straighten", "straighten_word",
-    "multiply", "casimir", "word_h_weight", "word_bar_degree",
+    "GEN_BY_NAME", "BAR_DEGREE", "DEPTH_SHIFT",
+    "lie_bracket", "EnvelopingElement", "element",
+    "straighten", "straighten_word", "multiply", "casimir",
     "exponents_to_word", "word_to_exponents",
 ]
 
@@ -55,9 +61,8 @@ _GENERATOR_IDS = frozenset(GENERATORS)
 GEN_NAMES = ("f", "fbar", "h", "hbar", "e", "ebar")
 GEN_BY_NAME = {name: g for g, name in enumerate(GEN_NAMES)}
 
-# ad(h)-eigenvalue, x-degree, and how each generator moves the depth grading
-# of a highest-weight module (depth n = weight lambda - n*alpha, alpha(h)=2).
-H_WEIGHT = (-2, -2, 0, 0, 2, 2)
+# x-degree, and how each generator moves the depth grading of a
+# highest-weight module (depth n = weight lambda - n*alpha, alpha(h)=2).
 BAR_DEGREE = (0, 1, 0, 1, 0, 1)
 DEPTH_SHIFT = (+1, +1, 0, 0, -1, -1)
 
@@ -137,12 +142,6 @@ _BRACKET = _build_bracket_table()
 _PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
 
 
-def bracket(x, y):
-    """Bracket of two generators (given as ids 0..5) as a {gen: Fraction} dict."""
-    _check_letters((x, y), "bracket")
-    return {g: Fraction(c) for g, c in _BRACKET[(x, y)]}
-
-
 def lie_bracket(a, b):
     """Bracket of two Lie elements given as {gen: coefficient} dicts.
 
@@ -168,7 +167,10 @@ def lie_bracket(a, b):
 # straightening
 
 def word_to_exponents(word):
-    """Exponent 6-tuple of a sorted word.  Raises if the word is not sorted."""
+    """Exponent 6-tuple of a sorted word.  Raises ValueError naming the first
+    entry that is not a generator id, or the word if it is not sorted."""
+    word = tuple(word)
+    _check_letters(word, "word")
     exps = [0] * 6
     prev = -1
     for g in word:
@@ -180,40 +182,50 @@ def word_to_exponents(word):
 
 
 def exponents_to_word(exps):
+    """The sorted word of an exponent 6-tuple.  Raises ValueError unless
+    there are six entries, naming the first that is not a non-negative
+    int."""
+    exps = tuple(exps)
+    if len(exps) != 6:
+        raise ValueError("exponent vector %r has %d entries, not 6"
+                         % (exps, len(exps)))
+    for g, k in enumerate(exps):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent vector %r: entry %d is %r, not a "
+                             "non-negative int" % (exps, g, k))
     word = ()
     for g in GENERATORS:
         word += (g,) * exps[g]
     return word
 
 
-def word_h_weight(word):
-    return sum(H_WEIGHT[g] for g in word)
-
-
-def word_bar_degree(word):
-    return sum(BAR_DEGREE[g] for g in word)
-
-
 @lru_cache(maxsize=None)
-def _gen_times_word(g, word):
-    """Normal form of g * word, where word is already PBW-sorted.
+def _gen_times_word(g, exps):
+    """Normal form of g times the PBW monomial with exponent 6-tuple exps.
 
-    Returns a tuple of (sorted_word, int) pairs: the structure constants are
-    integers, so the coefficients are too.  Closed recursion: the bracket
-    [g, x] with x = word[0] < g only involves generators >= x, and the
-    recursive results are prepended with letters <= their first letter.
+    Returns a tuple of (exponent tuple, int) pairs: the structure constants
+    are integers, so the coefficients are too.  With x the lowest letter of
+    the monomial, a its power and r the rest, the module docstring's sum
+    gives g x^a r term by term.  The normal form of ((-ad x)^k g) r is a
+    recursive call on r, which lacks x; its monomials have no letter below
+    x, so x^(a-k) goes in front by adding to the x exponent.
     """
-    if not word or g <= word[0]:
-        return (((g,) + word, 1),)
-    x, rest = word[0], word[1:]
+    x = next((i for i, k in enumerate(exps) if k), 6)  # 6: exps is empty
+    if g <= x:
+        return ((exps[:g] + (exps[g] + 1,) + exps[g + 1:], 1),)
+    a = exps[x]
+    rest = exps[:x] + (0,) + exps[x + 1:]
     acc = {}
-    for w, c in _gen_times_word(g, rest):
-        # x <= every letter of w by induction, so prepending keeps it sorted
-        key = (x,) + w
-        acc[key] = acc.get(key, 0) + c
-    for gb, cb in _BRACKET[(g, x)]:
-        for w, c in _gen_times_word(gb, rest):
-            acc[w] = acc.get(w, 0) + cb * c
+    y, cy = g, 1  # (-ad x)^k g = cy * y
+    for k in range(a + 1):
+        for w, c in _gen_times_word(y, rest):
+            key = w[:x] + (w[x] + a - k,) + w[x + 1:]
+            acc[key] = acc.get(key, 0) + comb(a, k) * cy * c
+        if not _BRACKET[(x, y)]:
+            break
+        # the bracket of two generators is a multiple of one generator
+        (y, c), = _BRACKET[(x, y)]
+        cy *= -c
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
@@ -221,9 +233,7 @@ def straighten_word(word, coefficient=Fraction(1)):
     """PBW normal form of a single word (tuple of generator ids), times
     ``coefficient``.  The word is straightened over the integers and scaled
     by the coefficient once at the end, so every coefficient of the result
-    is a Fraction.  _gen_times_word recurses once per letter it passes, so
-    a word whose letters nest deeper than Python's recursion limit raises
-    ValueError naming its length.
+    is a Fraction.
 
     >>> sorted(straighten_word((E, FBAR, FBAR)).items())
     [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
@@ -235,26 +245,20 @@ def straighten_word(word, coefficient=Fraction(1)):
     k = max(len(word) - 1, 0)
     while k > 0 and word[k - 1] <= word[k]:
         k -= 1
-    terms = {word[k:]: 1}
-    try:
-        for g in reversed(word[:k]):
-            nxt = {}
-            for w, c in terms.items():
-                for w2, c2 in _gen_times_word(g, w):
-                    nxt[w2] = nxt.get(w2, 0) + c * c2
-            terms = {w: c for w, c in nxt.items() if c}
-    except RecursionError:
-        raise ValueError("a word of %d letters nests too deeply to "
-                         "straighten" % len(word)) from None
+    terms = {word_to_exponents(word[k:]): 1}
+    for g in reversed(word[:k]):
+        nxt = {}
+        for w, c in terms.items():
+            for w2, c2 in _gen_times_word(g, w):
+                nxt[w2] = nxt.get(w2, 0) + c * c2
+        terms = {w: c for w, c in nxt.items() if c}
     coefficient = Fraction(coefficient)
     out = EnvelopingElement()
     if coefficient == 1:
         # dict.update adopts the nonzero Fractions without coercing again
-        out.update((word_to_exponents(w), Fraction(c))
-                   for w, c in terms.items())
+        out.update((w, Fraction(c)) for w, c in terms.items())
     elif coefficient:
-        out.update((word_to_exponents(w), coefficient * c)
-                   for w, c in terms.items())
+        out.update((w, coefficient * c) for w, c in terms.items())
     return out
 
 
@@ -262,11 +266,14 @@ def straighten(expr):
     """PBW normal form of a rational combination of words.
 
     ``expr`` may be a single word (tuple/list of generator ids), a mapping
-    word -> coefficient, or an iterable of (word, coefficient) pairs.
+    word -> coefficient, or an iterable of (word, coefficient) pairs.  A
+    tuple or list with no tuple or list inside is a word, so a bad letter
+    raises straighten_word's ValueError.
     """
     if isinstance(expr, EnvelopingElement):
         return expr
-    if isinstance(expr, (tuple, list)) and all(isinstance(g, int) for g in expr):
+    if isinstance(expr, (tuple, list)) and \
+            not any(isinstance(g, (tuple, list)) for g in expr):
         return straighten_word(tuple(expr))
     if isinstance(expr, dict):
         items = expr.items()

@@ -63,7 +63,10 @@ def _parse_word(tokens):
         if name not in GEN_BY_NAME:
             raise ValueError("unknown generator %r (choose from %s)"
                              % (name, ", ".join(GEN_NAMES)))
-        word.extend([GEN_BY_NAME[name]] * k)
+        try:
+            word.extend([GEN_BY_NAME[name]] * k)
+        except OverflowError:
+            raise ValueError("exponent too large in %r" % tok) from None
     return tuple(word)
 
 

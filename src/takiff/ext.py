@@ -137,8 +137,6 @@ class ExtResult:
     dim_sequence: list = field(default_factory=list)
     cocycles: list = field(default_factory=list)  # {gen name: {depth: Mat}}
     note: str = ""
-    dims_v: list = field(default_factory=list)    # coset-graded dimensions
-    dims_w: list = field(default_factory=list)
 
     def to_json(self):
         cocycles = []
@@ -366,7 +364,7 @@ def _solve_window(lam, mu, category, N, with_cocycles):
     dim_b = sum(dv[d] * dw[d] for d in range(N + 1)) - (lam == mu)
     dim = nunk - system.rank() - dim_b
     result = ExtResult(lam, mu, category, N, dim, depths_checked=[N],
-                       dim_sequence=[dim], dims_v=dv, dims_w=dw)
+                       dim_sequence=[dim])
     if not with_cocycles:
         return result
 

@@ -9,7 +9,7 @@ All of this works inside a finite depth window.  Because PBW normal forms
 put raising operators on the right, the submodule generated by homogeneous
 vectors is computed exactly on the visible window by closing under the six
 single-generator actions; no information leaks in from below the truncation.
-Characters, on the other hand, are only trusted up to ``depth - guard``
+Characters, on the other hand, are only trusted up to ``depth - _GUARD``
 wherever a statement depends on slices near the boundary.
 
 The closure runs on integers: the action blocks are cleared of their common
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
 
-from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, DEPTH_SHIFT,
-                      exact_int)
+from .algebra import E, EBAR, H, HBAR, GENERATORS, DEPTH_SHIFT, exact_int
 # solve_columns is imported for bench/tracer.py, which wraps it
 # under this module's name
 from .linalg import (Mat, RowSpace, _ZERO, _integer_vector, kernel_basis,
@@ -34,11 +33,14 @@ from .modules import (Weight, Character, TruncatedModule, _block_slots,
                       _integer_blocks, simple_dims, verma)
 
 __all__ = [
-    "singular_vectors", "cosingular_dim", "submodule", "quotient",
+    "singular_vectors", "submodule", "quotient",
     "multiplicities", "MultiplicityTable",
     "mn_filtration", "FiltrationResult",
     "hasse_diagram", "SubmodulePoset",
 ]
+
+# how many of the deepest slices of a truncated character are not trusted
+_GUARD = 2
 
 
 # ---------------------------------------------------------------------------
@@ -80,27 +82,6 @@ def singular_vectors(module, mu):
                + (module.act(H, d) - Mat.identity(dim) * mu.h).rows
                + (module.act(HBAR, d) - Mat.identity(dim) * mu.hbar).rows)
     return kernel_basis(Mat.from_rows(stacked, ncols=dim))
-
-
-def cosingular_dim(module, mu):
-    """Dimension of the mu-slice modulo everything reachable from above
-    (images of both lowering operators) plus the non-eigen directions.
-    Dual notion to singular_vectors: cosingular_dim(M, mu) equals the number
-    of singular vectors of weight mu in dualize(M).  mu is validated as in
-    singular_vectors."""
-    mu, d = _slice_of(module, mu)
-    dim = module.dims[d]
-    if dim == 0:
-        return 0
-    space = RowSpace(dim)
-    count = 0
-    for mat in (module.act(F, d - 1), module.act(FBAR, d - 1),
-                module.act(H, d) - Mat.identity(dim) * mu.h,
-                module.act(HBAR, d) - Mat.identity(dim) * mu.hbar):
-        for col in range(mat.ncols):
-            if space.add(mat.column(col)):
-                count += 1
-    return dim - space.dim()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +176,6 @@ def submodule(module, generators):
     sub = TruncatedModule.build(module.top, N, dims, block,
                                 complete=module.complete, label="submodule")
     sub.embedding = embedding
-    sub.parent = module
     return sub
 
 
@@ -259,7 +239,6 @@ def _quotient(module, spaces):
     quo = TruncatedModule.build(module.top, N, dims, block,
                                 complete=module.complete, label="quotient")
     quo.projection = proj
-    quo.parent = module
     return quo
 
 
@@ -299,7 +278,7 @@ class MultiplicityTable:
                                    for k, m in sorted(self.entries.items())}}
 
 
-def multiplicities(ch, guard=2):
+def multiplicities(ch):
     """Peel a truncated character into simple characters, top to bottom.
 
     At each depth k within the trusted window the residual dimension there
@@ -308,12 +287,9 @@ def multiplicities(ch, guard=2):
     the peeling order is forced and the answer unique).  A negative residual
     means the input was not a character of a module on this coset.
     """
-    guard = exact_int(guard, "guard")
-    if guard < 0:
-        raise ValueError("guard must be >= 0, got %d" % guard)
-    trusted = ch.depth - guard
+    trusted = ch.depth - _GUARD
     if trusted < 0:
-        raise ValueError("window too small for guard %d" % guard)
+        raise ValueError("window too small for guard %d" % _GUARD)
     residual = [ch.dim_at(d) for d in range(trusted + 1)]
     entries = {}
     for k in range(trusted + 1):
@@ -353,7 +329,7 @@ class FiltrationResult:
     certificate: dict = field(default_factory=dict)
 
 
-def mn_filtration(top, depth=None, guard=2):
+def mn_filtration(top, depth=None):
     """Filtration certificate for M_n = Delta(top) / <f^(n+1) v>.
 
     ``top`` must be integral dominant: top(hbar) = 0 and top(h) = n a
@@ -369,14 +345,11 @@ def mn_filtration(top, depth=None, guard=2):
         raise ValueError("top weight must have hbar-value 0 and h-value a "
                          "nonnegative integer, got %s" % (top,))
     n = int(top.h)
-    guard = exact_int(guard, "guard")
-    if guard < 0:
-        raise ValueError("guard must be >= 0, got %d" % guard)
-    depth = n + guard + 3 if depth is None else exact_int(depth, "depth")
-    if depth < n + 1 + guard:
+    depth = n + _GUARD + 3 if depth is None else exact_int(depth, "depth")
+    if depth < n + 1 + _GUARD:
         raise ValueError("window %d too small: need at least %d"
-                         % (depth, n + 1 + guard))
-    trusted = depth - guard
+                         % (depth, n + 1 + _GUARD))
+    trusted = depth - _GUARD
     k = ceil((n + 1) / 2)
     delta = verma(top, depth)
     kn = submodule(delta, [(n + 1, [Fraction(1)] + [Fraction(0)] * (n + 1))])
@@ -387,8 +360,6 @@ def mn_filtration(top, depth=None, guard=2):
     mn_acts = _integer_blocks(mn)
     chain = []
     for i in range(k + 1):
-        if i > depth:
-            break
         gen = project_vector(mn, i, _fbar_power_vector(delta, i))
         if all(x == 0 for x in gen):
             chain.append(None)  # the zero submodule
@@ -474,7 +445,7 @@ class SubmodulePoset:
         return "\n".join(lines) + "\n"
 
 
-def hasse_diagram(top, depth=None, offsets=None):
+def hasse_diagram(top, offsets=None):
     """Hasse diagram of the embedded Vermas and the kernels K_m inside the
     integral dominant Verma module Delta(top), computed by explicit
     generation and pairwise span comparison inside the window.
@@ -482,8 +453,8 @@ def hasse_diagram(top, depth=None, offsets=None):
     Nodes: V_i = submodule generated by fbar^i v (an embedded Verma of
     highest weight top - i*alpha), for i = 0..offsets; and K_m = submodule
     generated by f^(m+1) fbar^((n-m)/2) v for m = n, n-2, ..., n-2*floor(n/2)
-    (the kernels of the maps onto the uniserial quotients).  offsets < 0,
-    or a depth too shallow to hold V_offsets, raises ValueError.
+    (the kernels of the maps onto the uniserial quotients), in the window
+    of depth n + offsets + 3.  offsets < 0 raises ValueError.
     """
     top = Weight.of(top)
     if not top.is_integral_dominant():
@@ -494,10 +465,7 @@ def hasse_diagram(top, depth=None, offsets=None):
     offsets = k + 2 if offsets is None else exact_int(offsets, "offsets")
     if offsets < 0:
         raise ValueError("offsets must be >= 0, got %d" % offsets)
-    depth = n + offsets + 3 if depth is None else exact_int(depth, "depth")
-    if depth < offsets:
-        raise ValueError("depth %d is less than offsets %d: V%d lies outside "
-                         "the window" % (depth, offsets, offsets))
+    depth = n + offsets + 3
     delta = verma(top, depth)
     delta_acts = _integer_blocks(delta)
     mods = {}  # label -> (kind, generator depth, RowSpaces of the slices)
@@ -507,8 +475,6 @@ def hasse_diagram(top, depth=None, offsets=None):
     for i in range(k + 1):
         m = n - 2 * i
         d = m + 1 + i
-        if d > depth:
-            continue
         vec = [0] * delta.dims[d]
         vec[i] = 1  # f^(m+1) fbar^i v
         mods["K%d" % m] = ("kernel", d, _closure(delta, [(d, vec)],

@@ -1,5 +1,6 @@
 """Straightening, bracket axioms, gradings, and the Casimir element."""
 
+import heapq
 import re
 from fractions import Fraction
 
@@ -7,32 +8,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                            _BRACKET, EnvelopingElement, _gen_times_word,
-                            bracket, casimir, element,
-                            lie_bracket, multiply, straighten,
-                            straighten_word, word_bar_degree, word_h_weight,
-                            word_to_exponents)
+from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, BAR_DEGREE,
+                            GENERATORS, GEN_NAMES, _BRACKET, EnvelopingElement,
+                            _gen_times_word, casimir, element,
+                            exponents_to_word, lie_bracket, multiply,
+                            straighten, straighten_word, word_to_exponents)
+
+# ad(h)-eigenvalue of each generator, the grading straightening keeps
+H_WEIGHT = (-2, -2, 0, 0, 2, 2)
+
+
+def word_h_weight(word):
+    return sum(H_WEIGHT[g] for g in word)
+
+
+def word_bar_degree(word):
+    return sum(BAR_DEGREE[g] for g in word)
+
+
+def _inversions(word):
+    seen = [0] * 6
+    inv = 0
+    for g in word:
+        inv += sum(seen[g + 1:])
+        seen[g] += 1
+    return inv
 
 
 def straighten_leftmost(word, coefficient=Fraction(1)):
     """Reference straightener: repeatedly rewrite the leftmost out-of-order
     adjacent pair x*y -> y*x + [x,y].  Same answer as straighten_word (the
     normal form is unique); an independent cross-check of its recursion.
+
+    A rewrite either removes one inversion or shortens the word, so words
+    are taken longest first, then most inversions first: every contribution
+    to a word is merged in before it is rewritten, and a word such as
+    e h^40 is rewritten 41 times, not along 2^40 paths.
     """
-    pending = [(tuple(word), Fraction(coefficient))]
+    word = tuple(word)
+    pending = {word: Fraction(coefficient)}
+    heap = [(-len(word), -_inversions(word), word)]
     done = {}
-    while pending:
-        w, c = pending.pop()
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = pending.pop(w)
         if c == 0:
             continue
         for i in range(len(w) - 1):
             x, y = w[i], w[i + 1]
             if x > y:
-                swapped = w[:i] + (y, x) + w[i + 2:]
-                pending.append((swapped, c))
-                for g, cb in _BRACKET[(x, y)]:
-                    pending.append((w[:i] + (g,) + w[i + 2:], c * cb))
+                out = [(w[:i] + (y, x) + w[i + 2:], c)]
+                out += [(w[:i] + (g,) + w[i + 2:], c * cb)
+                        for g, cb in _BRACKET[(x, y)]]
+                for w2, c2 in out:
+                    if w2 not in pending:
+                        pending[w2] = 0
+                        heapq.heappush(heap,
+                                       (-len(w2), -_inversions(w2), w2))
+                    pending[w2] += c2
                 break
         else:
             key = word_to_exponents(w)
@@ -146,6 +179,42 @@ def test_rewriters_agree_on_long_sorted_suffixes(prefix, suffix):
     assert straighten_word(word) == straighten_leftmost(word)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GENERATORS),
+       st.lists(st.tuples(st.sampled_from(GENERATORS), st.integers(0, 40)),
+                max_size=3))
+def test_rewriters_agree_on_high_powers(g, powers):
+    # the kernel passes a whole power x^a per step, the oracle one letter
+    word = (g,) + tuple(x for x, k in sorted(powers) for _ in range(k))
+    assert straighten_word(word) == straighten_leftmost(word)
+
+
+def test_long_words_straighten_with_few_memo_entries():
+    # one memo entry per (generator, monomial) met, not per letter passed
+    _gen_times_word.cache_clear()
+    word = (EBAR, E) + (FBAR,) * 700 + (F,) * 300
+    assert len(straighten_word(word)) == 11
+    assert _gen_times_word.cache_info().currsize < 2000
+
+
+def test_exponents_and_words_round_trip():
+    exps = (3, 0, 1, 2, 0, 1)
+    assert exponents_to_word(exps) == (F, F, F, H, HBAR, HBAR, EBAR)
+    assert word_to_exponents(exponents_to_word(exps)) == exps
+
+
+@pytest.mark.parametrize("exps, message", [
+    ((0, 0, 0, 0, 0, 0, 1), "has 7 entries, not 6"),
+    ((1, 2), "has 2 entries, not 6"),
+    ((0, -1, 0, 0, 0, 0), "entry 1 is -1, not a non-negative int"),
+    ((0, 0, Fraction(1, 2), 0, 0, 0), "entry 2 is Fraction"),
+])
+def test_exponents_to_word_rejects_bad_vectors(exps, message):
+    # a seventh entry used to be dropped silently
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exponents_to_word(exps)
+
+
 def test_sorted_word_is_not_pushed_through_the_kernel():
     # the longest sorted suffix is its own normal form: a sorted word asks
     # the memoized kernel nothing
@@ -244,18 +313,16 @@ def test_element_from_json_rejects_bad_exponent_vectors(exp):
 @pytest.mark.parametrize("bad", [-1, 6, "e"])
 @pytest.mark.parametrize("call, position", [
     (lambda g: straighten_word((E, g)), 1),
-    # a tuple with a non-int letter is read as a list of (word, coef) pairs
-    (lambda g: straighten((g,)) if isinstance(g, int)
-     else straighten([((g,), 1)]), 0),
+    (lambda g: straighten((g,)), 0),
     (lambda g: straighten({(F, H, g): 2}), 2),
     (lambda g: element(((g, F), 1)), 0),
     (lambda g: lie_bracket(g, E), 0),
     (lambda g: lie_bracket({E: 1}, {H: 2, g: 1}), 1),
-    (lambda g: bracket(E, g), 1),
+    (lambda g: word_to_exponents((E, g)), 1),
 ])
 def test_bad_generator_ids_are_rejected(call, position, bad):
     # -1 used to index the last exponent (ebar), 6 and "e" raised KeyError
-    # or IndexError
+    # or IndexError; straighten(("e",)) failed to unpack "e" as a pair
     with pytest.raises(ValueError, match=r"letter %d is %r, not a generator "
                        r"id 0\.\.5" % (position, bad)):
         call(bad)

@@ -82,15 +82,18 @@ def test_straighten_bad_expression(capsys):
     code, _, err = run(capsys, "straighten", "e^x")
     assert code == 1
     assert "exponent" in err
-
-
-def test_straighten_rejects_a_word_nested_too_deeply(capsys):
-    # pushing e through f^1999 recurses once per letter: an error naming the
-    # length, not a RecursionError traceback
-    code, out, err = run(capsys, "straighten", "e f^1999")
+    # an exponent past any index was an OverflowError traceback
+    code, out, err = run(capsys, "straighten", "e^99999999999999999999")
     assert (code, out) == (1, "")
-    assert err == "error: a word of 2000 letters nests too deeply to " \
-                  "straighten\n"
+    assert err == "error: exponent too large in 'e^99999999999999999999'\n"
+
+
+def test_straighten_passes_a_long_power_in_one_step(capsys):
+    # e f^n = f^n e + n f^(n-1) h - n(n-1) f^(n-1); pushing e through f^1999
+    # used to recurse once per letter and fail
+    code, out, _ = run(capsys, "straighten", "e f^1999")
+    assert (code, out) == (0, "-3994002*f^1998 + 1999*f^1998*h + "
+                              "f^1999*e\n")
     code, out, _ = run(capsys, "straighten", "e f^3")
     assert (code, out) == (0, "-6*f^2 + 3*f^2*h + f^3*e\n")
 
