@@ -69,9 +69,10 @@ DEPTH_SHIFT = (+1, +1, 0, 0, -1, -1)
 
 def exact_int(value, name):
     """value as an int.  Depths, windows and indices are integers: an int or
-    an integral Fraction passes, anything else (4.9, 1.5, "3", 2.0) raises
-    ValueError naming the argument, where int() would truncate."""
-    if isinstance(value, int):
+    an integral Fraction passes, anything else (4.9, 1.5, "3", 2.0, or a
+    bool, which JSON readers hand out for true and false) raises ValueError
+    naming the argument, where int() would truncate or read true as 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
@@ -81,17 +82,17 @@ def exact_int(value, name):
 def exact_rat(value, name):
     """value as a Fraction.  An int, a Fraction or a string such as "-3/4"
     passes; a float (0.1 is only a binary approximation of 1/10, and JSON
-    readers hand out floats) or anything else raises ValueError naming the
-    field."""
-    if isinstance(value, (int, Fraction)):
+    readers hand out floats), a bool, a zero denominator ("1/0") or
+    anything else raises ValueError naming the field."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValueError("%s must be an exact rational (an int or a 'p/q' "
-                     "string), got %r" % (name, value))
+                     "string with q != 0), got %r" % (name, value))
 
 
 def _check_letters(letters, what):

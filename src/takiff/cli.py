@@ -249,8 +249,6 @@ def cmd_ext(args):
     if res.depths_checked:
         print("  windows %s, dims %s, stabilized: %s"
               % (res.depths_checked, res.dim_sequence, res.stabilized))
-    else:
-        print("  fixed window %d" % res.window)
     if res.note:
         print("  note: %s" % res.note)
     return 0
@@ -434,10 +432,7 @@ def main(argv=None):
     args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StabilizationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (StabilizationError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

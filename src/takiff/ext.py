@@ -213,14 +213,19 @@ def _on_coset(mod, off, N, block):
     return dims, act
 
 
-def _prepare(lam, mu, category):
+def _prepare(lam, mu, category, window):
     """The weights as Weights and, for weights in different blocks, the
-    zero result; raises ValueError for an unknown category."""
+    zero result.  Raises ValueError for an unknown category, and for
+    weights in different blocks a first window below 2, which no
+    same-block pair accepts either."""
     lam, mu = Weight.of(lam), Weight.of(mu)
     if category not in ("O", "Otilde"):
         raise ValueError("category must be 'O' or 'Otilde'")
     if same_block(lam, mu):
         return lam, mu, None
+    if window is not None and window < 2:
+        raise ValueError("window %d too small: no pair has a window below 2"
+                         % window)
     note = ("different blocks (%s vs %s): no extensions"
             % (block_of(lam).label(), block_of(mu).label()))
     return lam, mu, ExtResult(lam, mu, category, 0, 0, stabilized=True,
@@ -239,7 +244,7 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     """
     if window is not None:
         window = exact_int(window, "window")
-    lam, mu, zero = _prepare(lam, mu, category)
+    lam, mu, zero = _prepare(lam, mu, category, window)
     if zero is not None:
         return zero
     offv, offw = _coset_layout(lam, mu)
@@ -439,7 +444,7 @@ def stabilize_ext(lam, mu, category="O", start=None, with_cocycles=False):
     disagreement on the third window also raises StabilizationError."""
     if start is not None:
         start = exact_int(start, "start")
-    lam, mu, zero = _prepare(lam, mu, category)
+    lam, mu, zero = _prepare(lam, mu, category, start)
     if zero is not None:
         return zero
     base = _default_window(lam, mu) if start is None else start
@@ -486,8 +491,7 @@ def assemble_extension(result, index=0):
         place(mat, phi.get(GEN_NAMES[g], {}).get(d), 0, dw[d])
         return mat
 
-    return TruncatedModule.build(lam if offv == 0 else mu, N, dims, block,
-                                 label="extension")
+    return TruncatedModule.build(lam if offv == 0 else mu, N, dims, block)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ class TruncatedModule:
     boundary.  A negative depth or slice dimension raises ValueError.
     """
 
-    def __init__(self, top, depth, dims, actions, complete=False, label=""):
+    def __init__(self, top, depth, dims, actions, complete=False):
         self.top = Weight.of(top)
         self.depth = exact_int(depth, "depth")
         self.dims = [exact_int(d, "slice dimension") for d in dims]
@@ -146,15 +146,13 @@ class TruncatedModule:
                              % (self.depth, self.depth + 1, len(self.dims)))
         self.actions = actions
         self.complete = bool(complete)
-        self.label = label
 
     @classmethod
-    def build(cls, top, depth, dims, block, complete=False, label=""):
+    def build(cls, top, depth, dims, block, complete=False):
         """The module whose block at each slot (g, n, t) of
         _block_slots(dims) is block(g, n, t); a block of None is left
         absent."""
-        module = cls(top, depth, dims, {g: {} for g in GENERATORS},
-                     complete, label)
+        module = cls(top, depth, dims, {g: {} for g in GENERATORS}, complete)
         for g, n, t in _block_slots(module.dims):
             blk = block(g, n, t)
             if blk is not None:
@@ -163,8 +161,6 @@ class TruncatedModule:
 
     def act(self, g, n):
         """Matrix of generator g on depth n (zero-shaped if out of window)."""
-        if isinstance(g, str):
-            g = GEN_BY_NAME[g]
         src = self.dims[n] if 0 <= n <= self.depth else 0
         t = n + DEPTH_SHIFT[g]
         tgt = self.dims[t] if 0 <= t <= self.depth else 0
@@ -246,7 +242,7 @@ def verma(top, depth):
         return mat
 
     return TruncatedModule.build(top, depth, [n + 1 for n in range(depth + 1)],
-                                 block, label="verma")
+                                 block)
 
 
 def simple_dims(top, depth):
@@ -278,9 +274,7 @@ def simple_module(top, depth):
     depth = exact_int(depth, "depth")
     dims = simple_dims(top, depth)  # raises for a negative depth
     if top.hbar != 0:
-        m = verma(top, depth)
-        m.label = "simple"
-        return m
+        return verma(top, depth)
     # one basis vector per nonempty slice d; the barred half acts by zero
     h, dominant = top.h, top.is_integral_dominant()
     if dominant:  # basis v_0..v_n
@@ -295,8 +289,7 @@ def simple_module(top, depth):
         return None
 
     return TruncatedModule.build(top, depth, dims, block,
-                                 complete=dominant and depth >= h,
-                                 label="simple")
+                                 complete=dominant and depth >= h)
 
 
 def character(module):
@@ -321,7 +314,7 @@ def dualize(module):
     return TruncatedModule.build(
         module.top, module.depth, module.dims,
         lambda g, n, t: module.act(_SIGMA[g], t).transpose(),
-        complete=module.complete, label=("dual " + module.label).strip())
+        complete=module.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +441,12 @@ def casimir_scalar(top):
     return top.hbar * (top.h + 2)
 
 
-def casimir_action(module, n=None):
+def casimir_action(module, n):
     """Matrix of h*hbar + 2*hbar + 2*f*ebar + 2*fbar*e on depth n.
 
     The raising factors act first, so the composite never leaves the window
-    and the result is exact even at the truncation boundary.  With n=None,
-    returns {depth: matrix} for the whole window.
+    and the result is exact even at the truncation boundary.
     """
-    if n is None:
-        return {d: casimir_action(module, d)
-                for d in range(module.depth + 1) if module.dims[d]}
     a = module.act
     return (a(H, n) * a(HBAR, n) + a(HBAR, n) * 2
             + a(F, n - 1) * a(EBAR, n) * 2 + a(FBAR, n - 1) * a(E, n) * 2)

@@ -174,7 +174,7 @@ def submodule(module, generators):
         return Mat._adopt(dims[t], dims[d], out)
 
     sub = TruncatedModule.build(module.top, N, dims, block,
-                                complete=module.complete, label="submodule")
+                                complete=module.complete)
     sub.embedding = embedding
     return sub
 
@@ -237,7 +237,7 @@ def _quotient(module, spaces):
         return proj[t] * lifted
 
     quo = TruncatedModule.build(module.top, N, dims, block,
-                                complete=module.complete, label="quotient")
+                                complete=module.complete)
     quo.projection = proj
     return quo
 
@@ -422,7 +422,6 @@ class SubmodulePoset:
     depth: int
     nodes: list       # (label, kind, generator depth, dims list)
     edges: list       # (upper label, lower label) covering pairs
-    window_offsets: int
 
     def to_json(self):
         return {"top": self.top.to_json(), "depth": self.depth,
@@ -499,4 +498,4 @@ def hasse_diagram(top, offsets=None):
     order = {"verma": 0, "kernel": 1}
     nodes.sort(key=lambda t: (order[t[1]], t[2]))
     edges.sort()
-    return SubmodulePoset(top, depth, nodes, edges, offsets)
+    return SubmodulePoset(top, depth, nodes, edges)

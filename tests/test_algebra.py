@@ -292,6 +292,21 @@ def test_element_from_json_rejects_floats(term, message):
         EnvelopingElement.from_json({"terms": [term]})
 
 
+@pytest.mark.parametrize("term, message", [
+    # [true, 0, 0, 0, 0, 0] once read as f
+    ({"exp": [True, 0, 0, 0, 0, 0], "coef": "1"},
+     "exp must be an integer, got True"),
+    ({"exp": [1, 0, 0, 0, 0, 0], "coef": True},
+     "coef must be an exact rational .* got True"),
+    ({"exp": [1, 0, 0, 0, 0, 0], "coef": "1/0"},
+     "coef must be an exact rational .* got '1/0'"),
+])
+def test_element_from_json_refuses_booleans_and_zero_denominators(term,
+                                                                  message):
+    with pytest.raises(ValueError, match=message):
+        EnvelopingElement.from_json({"terms": [term]})
+
+
 def test_element_json_roundtrip_keeps_the_constant_term():
     x = element(((E, F), 3), ((), Fraction(-1, 2)))
     assert (0,) * 6 in x

@@ -1,6 +1,7 @@
 """The command line interface, driven in process through main(argv)."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,56 @@ def test_paper_check_subset_and_report(capsys, tmp_path):
     assert data["passed"] is True
     assert [c["id"] for c in data["checks"]] == ["lie-bracket-axioms",
                                                  "depth-one-hbar-action"]
+
+
+def test_paper_check_unwritable_report(capsys, tmp_path):
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "paper-check", "--only",
+                         "lie-bracket-axioms", "--report", str(report))
+    assert code == 1
+    assert "1/1 checks passed" in out
+    assert err.startswith("error: ") and "No such file" in err
+    assert not report.exists()
+
+
+def test_ext_different_blocks_text(capsys):
+    # a different-block result solved no window, so none is printed
+    code, out, err = run(capsys, "ext", "--h", "0", "--mu-h", "1")
+    assert (code, err) == (0, "")
+    assert out == ("Ext^1(L(0, 0), L(1, 0)) in category O: dimension 0\n"
+                   "  note: different blocks (coset (0, 0) + Z*alpha vs "
+                   "coset (1, 0) + Z*alpha): no extensions\n")
+
+
+def test_ext_different_blocks_refuse_a_window_below_2(capsys):
+    code, out, err = run(capsys, "ext", "--h", "0", "--mu-h", "1",
+                         "--window", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: window -5 too small: no pair has a window below 2\n"
+
+
+def _readme_block(heading, fence):
+    """The first code block fenced as fence under README's heading."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## %s\n" % heading, 1)[1]
+    return section.split("```%s\n" % fence, 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    commands = [shlex.split(line, comments=True)
+                for line in _readme_block("Command line", "sh").splitlines()
+                if line.startswith("takiff ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)  # paper-check writes report.json here
+    for argv in commands:
+        if ">" in argv:  # the shell redirect: stdout is captured instead
+            argv = argv[:argv.index(">")]
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+    assert json.loads((tmp_path / "report.json").read_text())["passed"]
+    exec(_readme_block("Library", "python"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "2"
 
 
 def test_paper_check_unknown_id(capsys):

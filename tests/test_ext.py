@@ -103,6 +103,28 @@ def test_window_validation():
     assert r.dim == 0 and "block" in r.note
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ext1(Weight(2, 0), Weight(3, 0), "O", window=1),
+     "window 1 too small: no pair has a window below 2"),
+    (lambda: stabilize_ext(Weight(2, 0), Weight(3, 0), "O", start=-5),
+     "window -5 too small: no pair has a window below 2"),
+    # the same-block messages are unchanged
+    (lambda: ext1(Weight(0, 0), Weight(0, 0), "O", window=1),
+     r"window 1 too small for offsets \(0, 0\)"),
+    (lambda: stabilize_ext(Weight(0, 0), Weight(0, 0), "O", start=1),
+     r"window 1 too small for offsets \(0, 0\)"),
+])
+def test_a_window_below_2_is_refused_in_every_block(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_different_blocks_take_any_window_from_2():
+    lam, mu = Weight(2, 0), Weight(3, 0)
+    assert ext1(lam, mu, "O", window=2).dim == 0
+    assert stabilize_ext(lam, mu, "Otilde", start=2).dim == 0
+
+
 def test_stabilize_reports_windows():
     r = stabilize_ext(Weight(0, 0), Weight(-2, 0), "O")
     assert r.stabilized
@@ -581,7 +603,7 @@ def _rescaled(mod, seed):
                 [a * scales[n][j] / scales[t][i] for j, a in enumerate(row)]
                 for i, row in enumerate(blk.rows)])
     return TruncatedModule(mod.top, mod.depth, list(mod.dims), actions,
-                           complete=mod.complete, label=mod.label)
+                           complete=mod.complete)
 
 
 @pytest.mark.parametrize("lam, mu, cat", [

@@ -225,7 +225,7 @@ def test_build_fills_exactly_the_block_slots():
         seen.append((g, n, t))
         return None if g == H else Mat.zeros(dims[t], dims[n])
 
-    m = TruncatedModule.build(Weight(0, 0), 3, dims, block, label="x")
+    m = TruncatedModule.build(Weight(0, 0), 3, dims, block)
     # generator-major; a nonempty source slice and a target in the window
     assert seen == sorted(seen) == modules_mod._block_slots(dims)
     assert {(n, t) for g, n, t in seen if g == F} == {(0, 1), (2, 3)}
@@ -235,7 +235,7 @@ def test_build_fills_exactly_the_block_slots():
     # a None block is left absent, and act() reads it as zero
     assert m.actions[H] == {} and sorted(m.actions[F]) == [0, 2]
     assert m.act(H, 2) == Mat.zeros(2, 2)
-    assert (m.label, m.complete, m.dims) == ("x", False, dims)
+    assert (m.complete, m.dims) == (False, dims)
 
 
 def test_weight_of_takes_a_weight_or_a_pair():
@@ -587,6 +587,34 @@ def test_weight_from_json_rejects_floats(data, message):
         Weight.from_json(data)
 
 
+@pytest.mark.parametrize("call, message", [
+    # a JSON true is not the number 1
+    (lambda: Weight.from_json({"h": True, "hbar": "0"}),
+     "h must be an exact rational .* got True"),
+    (lambda: Weight("1/0", 0), "h must be an exact rational .* got '1/0'"),
+    (lambda: Weight(0, "-3/0"),
+     "hbar must be an exact rational .* got '-3/0'"),
+])
+def test_weight_refuses_booleans_and_zero_denominators(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("data, message", [
+    (_character_json(depth=True), "depth must be an integer, got True"),
+    (_character_json(dims={"0": True}),
+     "dimension must be an integer, got True"),
+    (_character_json(dims={"1/0": 1}),
+     "depth must be an exact rational .* got '1/0'"),
+    (_character_json(top={"h": "1", "hbar": "2/0"}),
+     "hbar must be an exact rational .* got '2/0'"),
+])
+def test_character_from_json_refuses_booleans_and_zero_denominators(
+        data, message):
+    with pytest.raises(ValueError, match=message):
+        Character.from_json(data)
+
+
 def test_weight_from_json_reads_exact_numbers():
     assert Weight.from_json({"h": "-3/4", "hbar": 2}) == \
         Weight(Fraction(-3, 4), 2)
@@ -659,5 +687,27 @@ def _corrupt_verma_json(edit):
      r"must be >= 0, got depth 2 and dims \[1, -2, 3\]"),
 ])
 def test_module_from_json_rejects_inconsistent_blocks(edit, message):
+    with pytest.raises(ValueError, match=message):
+        module_from_json(_corrupt_verma_json(edit))
+
+
+@pytest.mark.parametrize("edit, message", [
+    # "depth": true was read as depth 1
+    (lambda d: d.update(depth=True), "depth must be an integer, got True"),
+    (lambda d: d["dims"].__setitem__(0, True),
+     "slice dimension must be an integer, got True"),
+    (lambda d: d["actions"]["h"][1].update(from_depth=True),
+     "h from_depth must be an integer, got True"),
+    (lambda d: d["actions"]["h"][1]["entries"].append([True, 0, "7"]),
+     "h entry row must be an integer, got True"),
+    (lambda d: d["actions"]["h"][1]["entries"].append([0, 0, True]),
+     "h entry value must be an exact rational .* got True"),
+    (lambda d: d["actions"]["h"][1]["entries"].append([0, 0, "1/0"]),
+     "h entry value must be an exact rational .* got '1/0'"),
+    (lambda d: d["top"].update(h="1/0"),
+     "h must be an exact rational .* got '1/0'"),
+])
+def test_module_from_json_refuses_booleans_and_zero_denominators(edit,
+                                                                 message):
     with pytest.raises(ValueError, match=message):
         module_from_json(_corrupt_verma_json(edit))
