@@ -467,7 +467,9 @@ def assemble_extension(result, index=0):
     result is a TruncatedModule on the common coset window; its relation
     check is how the solver's output is validated end to end.  A phi block
     may be smaller than its slot: it fills the slot's top-left corner.  An
-    index outside 0..len(result.cocycles) - 1 raises ValueError."""
+    index outside 0..len(result.cocycles) - 1 raises ValueError, and so
+    does a phi block with no slot (its name is not a generator's, or its
+    depth has no such block) or larger than its slot."""
     index = exact_int(index, "index")
     if not 0 <= index < len(result.cocycles):
         raise ValueError("cocycle index %d out of range: the result has %d "
@@ -478,6 +480,18 @@ def assemble_extension(result, index=0):
     dw, aw = _on_coset(W, offw, N, W.act)
     phi = result.cocycles[index]
     dims = [dw[d] + dv[d] for d in range(N + 1)]
+    slots = {(GEN_NAMES[g], d): (dw[t], dv[d])
+             for g, d, t in _block_slots(dims)}
+    for gname, blocks in phi.items():
+        for d, blk in blocks.items():
+            slot = slots.get((gname, d))
+            if slot is None:
+                raise ValueError("no slot for a %r cocycle block at depth "
+                                 "%r in the window 0..%d" % (gname, d, N))
+            if blk.nrows > slot[0] or blk.ncols > slot[1]:
+                raise ValueError("%s cocycle block at depth %d is %dx%d, "
+                                 "larger than its %dx%d slot"
+                                 % (gname, d, blk.nrows, blk.ncols, *slot))
 
     def place(mat, blk, r0, c0):
         if blk is not None:
@@ -547,12 +561,12 @@ def quiver(seed, lo=-2, hi=2, category="O"):
     """
     seed = Weight.of(seed)
     lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
+    if lo > hi:
+        raise ValueError("empty window: lo > hi")
     blk = block_of(seed)
     if blk.kind == "nondegenerate":
         vertices = [(0, blk.rep, "w")]
     else:
-        if lo > hi:
-            raise ValueError("empty window: lo > hi")
         vertices = [(m, blk.rep.down(-m), _offset_label(m))
                     for m in range(lo, hi + 1)]
     arrows = {}

@@ -90,15 +90,6 @@ class Mat:
         return m
 
     @classmethod
-    def from_rows(cls, rows, ncols=None):
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            if not rows:
-                raise ValueError("need ncols for an empty row list")
-            ncols = len(rows[0])
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):
@@ -108,12 +99,6 @@ class Mat:
     @classmethod
     def zeros(cls, nrows, ncols):
         return cls(nrows, ncols)
-
-    def __getitem__(self, rc):
-        return self.rows[rc[0]][rc[1]]
-
-    def __setitem__(self, rc, val):
-        self.rows[rc[0]][rc[1]] = Fraction(val)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.nrows == other.nrows
@@ -162,9 +147,6 @@ class Mat:
             out.append(orow)
         return Mat._adopt(self.nrows, other.ncols, out)
 
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
     def matvec(self, vec):
         if self.ncols != len(vec):
             raise ValueError("shape mismatch: %dx%d * vector of length %d"
@@ -185,12 +167,6 @@ class Mat:
             return Mat(self.ncols, 0)
         return Mat._adopt(self.ncols, self.nrows,
                           [list(col) for col in zip(*self.rows)])
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     def is_zero(self):
         return not any(map(any, self.rows))
@@ -230,20 +206,12 @@ def integer_product_sum(nrows, ncols, terms):
     return out
 
 
-def _as_mat(mat):
-    """A Mat as is; a list of row lists as a Mat of Fractions."""
-    if isinstance(mat, Mat):
-        return mat
-    return Mat(len(mat), len(mat[0]) if mat else 0, mat)
-
-
 def rref(mat):
     """Reduced row echelon form.  Returns (list of reduced rows, pivot cols).
 
-    Accepts a Mat or a list of row lists; the input is not modified.  The
-    rows go, in order, into one RowSpace, whose rows are the RREF.
+    Takes a Mat, which is not modified.  The rows go, in order, into one
+    RowSpace, whose rows are the RREF.
     """
-    mat = _as_mat(mat)
     space = RowSpace(mat.ncols)
     for row in mat.rows:
         space.add(row)
@@ -254,9 +222,8 @@ def kernel_basis(mat):
     """Basis of {v : mat @ v = 0}, one vector per free column, deterministic.
 
     Each basis vector has 1 in its free coordinate and the pivot coordinates
-    solved from the RREF.
+    solved from the RREF.  Takes a Mat, which is not modified.
     """
-    mat = _as_mat(mat)
     ncols = mat.ncols
     rows, pivots = rref(mat)
     pivot_set = set(pivots)
@@ -401,9 +368,6 @@ class RowSpace:
 
     def dim(self):
         return len(self.pivots)
-
-    def basis(self):
-        return self.rows
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,9 @@ from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
 from .linalg import Mat, integer_product_sum
 
 __all__ = [
-    "Weight", "ALPHA", "Character", "TruncatedModule",
-    "verma", "simple_module", "simple_dims", "character",
-    "dualize", "check_relations", "RelationReport",
-    "casimir_action", "casimir_scalar",
-    "is_weight_diagonal", "hbar_is_nilpotent", "h_is_nilpotent",
+    "Weight", "ALPHA", "Character", "TruncatedModule", "verma",
+    "simple_module", "simple_dims", "character", "dualize",
+    "check_relations", "RelationReport", "casimir_action", "casimir_scalar",
     "category_check", "module_to_json", "module_from_json",
 ]
 
@@ -160,7 +158,10 @@ class TruncatedModule:
         return module
 
     def act(self, g, n):
-        """Matrix of generator g on depth n (zero-shaped if out of window)."""
+        """Matrix of generator g on depth n (zero-shaped if out of window).
+        A g that is not a generator id 0..5 raises ValueError."""
+        if g not in GENERATORS:
+            raise ValueError("generator %r is not a generator id 0..5" % (g,))
         src = self.dims[n] if 0 <= n <= self.depth else 0
         t = n + DEPTH_SHIFT[g]
         tgt = self.dims[t] if 0 <= t <= self.depth else 0
@@ -168,9 +169,6 @@ class TruncatedModule:
         if blk is not None:
             return blk
         return Mat.zeros(tgt, src)
-
-    def weight_at(self, n):
-        return self.top.down(n)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedModule):
@@ -455,15 +453,6 @@ def casimir_action(module, n):
 # ---------------------------------------------------------------------------
 # category membership
 
-def _defects(module, g):
-    """act(g, n) - (top - n*alpha)(g) on each nonempty slice n, lazily, for
-    g = H or HBAR."""
-    for n in range(module.depth + 1):
-        if module.dims[n]:
-            w, mat = module.weight_at(n), module.act(g, n)
-            yield mat - Mat.identity(mat.nrows) * (w.h if g == H else w.hbar)
-
-
 def _is_nilpotent(mat):
     p = mat
     for _ in range(mat.nrows):
@@ -473,29 +462,22 @@ def _is_nilpotent(mat):
     return p.is_zero()
 
 
-def is_weight_diagonal(module):
-    """h acts by the exact scalar top.h - 2n on each depth slice."""
-    return all(m.is_zero() for m in _defects(module, H))
-
-
-def h_is_nilpotent(module):
-    """h - (top.h - 2n) is nilpotent on each depth slice."""
-    return all(map(_is_nilpotent, _defects(module, H)))
-
-
-def hbar_is_nilpotent(module):
-    """hbar - top.hbar is nilpotent on each depth slice."""
-    return all(map(_is_nilpotent, _defects(module, HBAR)))
-
-
 def category_check(module, flavor="O"):
     """Membership in the strict category ("O": h diagonal, hbar generalized)
-    or the relaxed one ("Otilde": both h and hbar only generalized)."""
-    if flavor == "O":
-        return is_weight_diagonal(module) and hbar_is_nilpotent(module)
-    if flavor == "Otilde":
-        return h_is_nilpotent(module) and hbar_is_nilpotent(module)
-    raise ValueError("unknown category flavor: %r" % (flavor,))
+    or the relaxed one ("Otilde": both h and hbar only generalized).  On
+    each nonempty depth slice n, h - (top.h - 2n) must be zero in O and
+    nilpotent in Otilde, and hbar - top.hbar nilpotent in both.  An unknown
+    flavor raises ValueError."""
+    if flavor not in ("O", "Otilde"):
+        raise ValueError("unknown category flavor: %r" % (flavor,))
+    h_test = Mat.is_zero if flavor == "O" else _is_nilpotent
+    for n, dim in enumerate(module.dims):
+        if dim:
+            w, one = module.top.down(n), Mat.identity(dim)
+            if not (h_test(module.act(H, n) - one * w.h)
+                    and _is_nilpotent(module.act(HBAR, n) - one * w.hbar)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def singular_vectors(module, mu):
     stacked = (module.act(E, d).rows + module.act(EBAR, d).rows
                + (module.act(H, d) - Mat.identity(dim) * mu.h).rows
                + (module.act(HBAR, d) - Mat.identity(dim) * mu.hbar).rows)
-    return kernel_basis(Mat.from_rows(stacked, ncols=dim))
+    return kernel_basis(Mat(len(stacked), dim, stacked))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def submodule(module, generators):
     den, acts = iacts
     spaces = _closure(module, generators, iacts)
     dims = [space.dim() for space in spaces]
-    embedding = {d: Mat(dims[d], module.dims[d], spaces[d].basis()).transpose()
+    embedding = {d: Mat(dims[d], module.dims[d], spaces[d].rows).transpose()
                  for d in range(N + 1)}
 
     def block(g, d, t):
@@ -182,7 +182,7 @@ def submodule(module, generators):
 def _column_space(mat):
     """The RowSpace spanned by the columns of mat."""
     space = RowSpace(mat.nrows)
-    for col in mat.columns():
+    for col in mat.transpose().rows:
         space.add(col)
     return space
 
@@ -267,9 +267,6 @@ class MultiplicityTable:
     top: Weight
     trusted_depth: int
     entries: dict  # k -> multiplicity of the simple with top - k*alpha
-
-    def __getitem__(self, k):
-        return self.entries.get(k, 0)
 
     def to_json(self):
         return {"top": self.top.to_json(),

@@ -234,6 +234,14 @@ def test_quiver_json(capsys):
     assert data["arrows"] == [{"from": 0, "to": 0, "dim": 2}]
 
 
+@pytest.mark.parametrize("seed", [["--h", "0"], ["--h", "3", "--hbar", "1"]],
+                         ids=["coset", "nondegenerate"])
+def test_quiver_rejects_empty_window(capsys, seed):
+    code, out, err = run(capsys, "quiver", *seed, "--lo", "5", "--hi", "-5")
+    assert code == 1 and out == ""
+    assert err == "error: empty window: lo > hi\n"
+
+
 def test_paper_check_subset_and_report(capsys, tmp_path):
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, "paper-check", "--only",

@@ -3,6 +3,7 @@ stabilization, assembled extensions, and quivers."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -678,7 +679,7 @@ def test_window4_cocycles_match_golden_and_assemble(capsys, case):
                 mat = Mat.zeros(max(r for r, _, _ in ents) + 1,
                                 max(c for _, c, _ in ents) + 1)
                 for r, c, val in ents:
-                    mat[r, c] = Fraction(val)
+                    mat.rows[r][c] = Fraction(val)
                 phi.setdefault(gname, {})[blk["from_depth"]] = mat
         cocycles.append(phi)
     r = ExtResult(lam, mu, data["category"], data["window"], data["dim"],
@@ -750,6 +751,27 @@ def test_assemble_extension_rejects_bad_indices():
         assemble_extension(bare)
 
 
+@pytest.mark.parametrize("gname, depth, size, message", [
+    ("zz", 0, 1, "no slot for a 'zz' cocycle block at depth 0 in the "
+                 "window 0..4"),
+    ("f", 9, 1, "no slot for a 'f' cocycle block at depth 9 in the "
+                "window 0..4"),
+    ("f", 0, 3, "f cocycle block at depth 0 is 3x3, larger than its 1x1 "
+                "slot"),
+], ids=["name", "depth", "shape"])
+def test_assemble_extension_refuses_blocks_it_cannot_place(gname, depth,
+                                                           size, message):
+    # the window-4 cocycle of (0,0)->(-2,0) is one 1x1 block, f at depth
+    # 0; the first two blocks used to be dropped, leaving the split
+    # extension, and the third raised IndexError
+    r = ext1(Weight(0, 0), Weight(-2, 0), "O", window=4)
+    assert [(g, list(b)) for g, b in r.cocycles[0].items()] == [("f", [0])]
+    bad = ExtResult(r.lam, r.mu, r.category, r.window, r.dim,
+                    cocycles=[{gname: {depth: Mat.identity(size)}}])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assemble_extension(bad)
+
+
 def test_ext_result_json():
     r = stabilize_ext(Weight(0, 0), Weight(-2, 0), "O", with_cocycles=True)
     data = r.to_json()
@@ -780,8 +802,10 @@ def test_quiver_window_matches_rule():
 
 
 def test_quiver_rejects_empty_window():
-    with pytest.raises(ValueError):
-        quiver(Weight(0, 0), lo=2, hi=-2)
+    # a nondegenerate seed used to ignore the window and return its vertex
+    for seed in (Weight(0, 0), Weight(3, 1)):
+        with pytest.raises(ValueError, match="empty window: lo > hi"):
+            quiver(seed, lo=2, hi=-2)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -97,8 +97,8 @@ def test_verma_matches_closed_form(lh, lb):
 def test_verma_dims_and_weights():
     m = verma(Weight(3, 1), 6)
     assert m.dims == [1, 2, 3, 4, 5, 6, 7]
-    assert m.weight_at(0) == Weight(3, 1)
-    assert m.weight_at(2) == Weight(-1, 1)
+    assert m.top.down(0) == Weight(3, 1)
+    assert m.top.down(2) == Weight(-1, 1)
     assert not m.complete
 
 
@@ -108,6 +108,15 @@ def test_act_outside_window_is_zero_shaped():
     assert up.nrows == 0 and up.ncols == 3
     top = m.act(E, 0)    # nothing above the top
     assert top.nrows == 0 and top.ncols == 1
+
+
+@pytest.mark.parametrize("g", [-1, 6, "e"])
+def test_act_refuses_a_bad_generator_id(g):
+    # -1 used to wrap round to ebar's depth shift and read as a zero block
+    m = verma((1, 0), 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "generator %r is not a generator id 0..5" % (g,))):
+        m.act(g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +505,14 @@ def test_category_membership():
         m = verma(lam, 4)
         assert category_check(m, "O")
         assert category_check(m, "Otilde")
+    # the same actions under a top they do not have: an hbar-value off by 1
+    # leaves hbar - top.hbar invertible, an h-value off by 2 does the same
+    # to h - (top.h - 2n), and either puts the module in neither flavor
+    m = verma(Weight(3, 1), 4)
+    for top in (Weight(3, 2), Weight(5, 1)):
+        relabelled = TruncatedModule(top, m.depth, m.dims, m.actions)
+        assert not category_check(relabelled, "O")
+        assert not category_check(relabelled, "Otilde")
     # "O" and "Otilde" are the only spellings, as for ext1 and --cat
     for flavor in ("bogus", "~O", "O~"):
         with pytest.raises(ValueError, match="unknown category flavor"):

@@ -106,6 +106,29 @@ def test_no_environment_reads_in_package(path):
                                                                  lines)
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_public_names_are_bound(path):
+    module = importlib.import_module("takiff." + path.stem)
+    unbound = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert unbound == [], "%s lists unbound names %s in __all__" % (
+        path.name, unbound)
+
+
+def test_package_imports_only_public_names():
+    # takiff/__init__.py re-exports a name only if its module lists it
+    init = ROOT / "src" / "takiff" / "__init__.py"
+    unlisted = [(node.module, alias.name)
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name not in importlib.import_module(
+                    "takiff." + node.module).__all__]
+    assert unlisted == []
+
+
 def test_modules_are_built_only_inside_modules_py():
     # TruncatedModule.build owns the block layout; a direct constructor
     # call elsewhere would lay the blocks out by a rule of its own

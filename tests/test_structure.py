@@ -78,8 +78,8 @@ def cosingular_dim(module, mu):
     for mat in (module.act(F, d - 1), module.act(FBAR, d - 1),
                 module.act(H, d) - Mat.identity(dim) * mu.h,
                 module.act(HBAR, d) - Mat.identity(dim) * mu.hbar):
-        for col in range(mat.ncols):
-            space.add(mat.column(col))
+        for col in mat.transpose().rows:
+            space.add(col)
     return dim - space.dim()
 
 
@@ -121,10 +121,10 @@ def test_submodule_generated_by_fbar():
                 # each image column must lie in the embedded slice at tgt
                 from takiff.linalg import RowSpace
                 rs = RowSpace(m.dims[tgt])
-                for c in range(s.embedding[tgt].ncols):
-                    rs.add(s.embedding[tgt].column(c))
-                for c in range(img.ncols):
-                    assert rs.contains(img.column(c))
+                for col in s.embedding[tgt].transpose().rows:
+                    rs.add(col)
+                for col in img.transpose().rows:
+                    assert rs.contains(col)
 
 
 def test_submodule_relations_hold():
@@ -143,9 +143,8 @@ def test_quotient_dimensions_and_exactness():
     assert check_relations(q).passed
     # projection kills the submodule
     for d in range(7):
-        emb = s.embedding[d]
-        for c in range(emb.ncols):
-            img = project_vector(q, d, emb.column(c))
+        for col in s.embedding[d].transpose().rows:
+            img = project_vector(q, d, col)
             assert all(x == 0 for x in img)
 
 
@@ -339,7 +338,7 @@ def submodule_by_solving(module, generators):
             if spaces[t].add(img):
                 work.append((t, img))
     dims = [space.dim() for space in spaces]
-    embedding = {d: Mat(dims[d], module.dims[d], spaces[d].basis()).transpose()
+    embedding = {d: Mat(dims[d], module.dims[d], spaces[d].rows).transpose()
                  for d in range(N + 1)}
     actions = {g: {} for g in GENERATORS}
     for g in GENERATORS:
