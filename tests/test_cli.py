@@ -196,6 +196,29 @@ def test_ext_cocycles_json_matches_golden(capsys):
     assert out == golden.read_text()
 
 
+def test_outputs_match_the_golden_file(capsys):
+    """Replay each command of golden/cli_outputs.json and compare its
+    stdout, stderr and exit status byte for byte.  The file was recorded
+    once, from the package before its entry points were narrowed: the
+    README commands, all 36 brackets, casimir-check, straighten, verma and
+    simple JSON at depth 4, character and singular of both module kinds,
+    the benchmark's multiplicities and singular operations, filtration and
+    hasse JSON, and the stabilized ext JSON of every EXT_TABLE row.  It is
+    not regenerated to make a change pass; an intended change of output
+    edits the entries it changes, and says why."""
+    golden = Path(__file__).parent / "golden" / "cli_outputs.json"
+    records = json.loads(golden.read_text())
+    assert len(records) == 149
+    differing = []
+    for rec in records:
+        code = main(list(rec["argv"]))
+        out = capsys.readouterr()
+        if (out.out, out.err, code) != (rec["stdout"], rec["stderr"],
+                                        rec["exit"]):
+            differing.append(shlex.join(rec["argv"]))
+    assert differing == []
+
+
 def test_hasse_rejects_negative_offsets(capsys):
     code, out, err = run(capsys, "hasse", "--n", "4", "--offsets", "-3")
     assert code == 1
