@@ -10,8 +10,8 @@ resulting Gabriel quivers (DOT output).
 """
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      EnvelopingElement, lie_bracket, straighten,
-                      straighten_word, multiply, casimir)
+                      EnvelopingElement, lie_bracket, straighten_word,
+                      casimir)
 from .modules import (Weight, ALPHA, Character, TruncatedModule, verma,
                       simple_module, simple_dims, character, dualize,
                       check_relations, casimir_action, casimir_scalar,

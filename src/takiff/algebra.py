@@ -51,7 +51,7 @@ __all__ = [
     "F", "FBAR", "H", "HBAR", "E", "EBAR", "GENERATORS", "GEN_NAMES",
     "GEN_BY_NAME", "BAR_DEGREE", "DEPTH_SHIFT",
     "lie_bracket", "EnvelopingElement", "element",
-    "straighten", "straighten_word", "multiply", "casimir",
+    "straighten_word", "casimir",
     "exponents_to_word", "word_to_exponents",
 ]
 
@@ -95,13 +95,26 @@ def exact_rat(value, name):
                      "string with q != 0), got %r" % (name, value))
 
 
+def json_field(data, key, what):
+    """data[key], for the JSON document data that describes what.  A
+    document that is not a JSON object (a dict), or an object without the
+    key, raises ValueError naming the type it has or the key."""
+    if not isinstance(data, dict):
+        raise ValueError("%s must be a JSON object, got %s"
+                         % (what, type(data).__name__))
+    if key not in data:
+        raise ValueError("%s has no %r field" % (what, key))
+    return data[key]
+
+
 def _check_letters(letters, what):
     """Raise ValueError naming the first entry of the tuple letters that
-    is not a generator id 0..5, and its position; what names the tuple."""
-    if _GENERATOR_IDS.issuperset(letters):
+    is not a generator id, an int 0..5 (a bool is not one), and its
+    position; what names the tuple."""
+    if _GENERATOR_IDS.issuperset(letters) and set(map(type, letters)) <= {int}:
         return
     for i, g in enumerate(letters):
-        if g not in _GENERATOR_IDS:
+        if type(g) is not int or g not in _GENERATOR_IDS:
             raise ValueError("%s %r: letter %d is %r, not a generator id "
                              "0..5" % (what, letters, i, g))
 
@@ -144,24 +157,15 @@ _PAIRS = [(x, y) for x in GENERATORS for y in GENERATORS if x < y]
 
 
 def lie_bracket(a, b):
-    """Bracket of two Lie elements given as {gen: coefficient} dicts.
+    """Bracket of two generators, given by their ids, as a {gen:
+    coefficient} dict with no zero coefficient.  An id that is not a
+    generator id raises ValueError.
 
-    Single generators may be passed as bare ids.  Returns a canonical dict
-    (zero coefficients dropped).
-
-    >>> lie_bracket({E: 1}, {FBAR: 1})
+    >>> lie_bracket(E, FBAR)
     {3: Fraction(1, 1)}
     """
-    a = a if isinstance(a, dict) else {a: 1}
-    b = b if isinstance(b, dict) else {b: 1}
-    _check_letters(tuple(a), "first bracket argument")
-    _check_letters(tuple(b), "second bracket argument")
-    out = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            for g, c in _BRACKET[(x, y)]:
-                out[g] = out.get(g, Fraction(0)) + Fraction(cx) * Fraction(cy) * c
-    return {g: c for g, c in out.items() if c != 0}
+    _check_letters((a, b), "bracket")
+    return {g: Fraction(c) for g, c in _BRACKET[(a, b)]}
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +267,14 @@ def straighten_word(word, coefficient=Fraction(1)):
     return out
 
 
-def straighten(expr):
-    """PBW normal form of a rational combination of words.
-
-    ``expr`` may be a single word (tuple/list of generator ids), a mapping
-    word -> coefficient, or an iterable of (word, coefficient) pairs.  A
-    tuple or list with no tuple or list inside is a word, so a bad letter
-    raises straighten_word's ValueError.
-    """
-    if isinstance(expr, EnvelopingElement):
-        return expr
-    if isinstance(expr, (tuple, list)) and \
-            not any(isinstance(g, (tuple, list)) for g in expr):
-        return straighten_word(tuple(expr))
-    if isinstance(expr, dict):
-        items = expr.items()
-    else:
-        items = expr
-    out = EnvelopingElement({})
-    for word, coef in items:
-        out = out + straighten_word(tuple(word), Fraction(coef))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elements of the envelope
 
 class EnvelopingElement(dict):
     """A PBW-normal element: {exponent 6-tuple: Fraction}, zeros dropped.
 
-    Supports +, -, scalar *, and associative * of elements (products are
-    re-straightened).  Instances compare equal as plain dicts, so the zero
+    Supports +, - and the associative product * of two elements (products
+    are re-straightened).  Instances compare equal as plain dicts, so the zero
     element is the empty dict.
     """
 
@@ -324,8 +305,6 @@ class EnvelopingElement(dict):
         return self + (-EnvelopingElement(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         out = EnvelopingElement({})
         for e1, c1 in self.items():
             w1 = exponents_to_word(e1)
@@ -333,23 +312,13 @@ class EnvelopingElement(dict):
                 out = out + straighten_word(w1 + exponents_to_word(e2), c1 * c2)
         return out
 
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar):
-        scalar = Fraction(scalar)
-        return EnvelopingElement({e: c * scalar for e, c in self.items()})
-
     # -- inspection ---------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.items())
 
     def __repr__(self):
         if not self:
             return "0"
         parts = []
-        for exps, coef in self.sorted_terms():
+        for exps, coef in sorted(self.items()):
             mono = "*".join(
                 GEN_NAMES[g] + ("" if exps[g] == 1 else "^%d" % exps[g])
                 for g in GENERATORS if exps[g])
@@ -365,31 +334,31 @@ class EnvelopingElement(dict):
 
     def to_json(self):
         return {"terms": [{"exp": list(exps), "coef": str(coef)}
-                          for exps, coef in self.sorted_terms()]}
+                          for exps, coef in sorted(self.items())]}
 
     @classmethod
     def from_json(cls, data):
         """The element to_json wrote.  Each term's exp must be six
-        non-negative integers; anything else raises ValueError naming the
-        term."""
+        non-negative integers; anything else, or a missing field, raises
+        ValueError naming the term or the field."""
         terms = {}
-        for t in data["terms"]:
-            exps = tuple(exact_int(e, "exp") for e in t["exp"])
+        for t in json_field(data, "terms", "element"):
+            exps = tuple(exact_int(e, "exp")
+                         for e in json_field(t, "exp", "term"))
             if len(exps) != 6 or min(exps) < 0:
                 raise ValueError("exp must be six non-negative integers, "
                                  "got term %r" % (t,))
-            terms[exps] = exact_rat(t["coef"], "coef")
+            terms[exps] = exact_rat(json_field(t, "coef", "term"), "coef")
         return cls(terms)
 
 
 def element(*words_and_coefs):
-    """Convenience constructor: element((word, coef), ...) straightened."""
-    return straighten(list(words_and_coefs))
-
-
-def multiply(a, b):
-    """Product in the envelope (both arguments straightened first)."""
-    return straighten(a) * straighten(b)
+    """The sum of the (word, coefficient) pairs, straightened:
+    element((word, coef), ...)."""
+    out = EnvelopingElement()
+    for word, coef in words_and_coefs:
+        out = out + straighten_word(word, coef)
+    return out
 
 
 def casimir():

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (GEN_BY_NAME, GEN_NAMES, EnvelopingElement, casimir,
-                      element, lie_bracket, multiply, straighten_word,
+                      element, lie_bracket, straighten_word,
                       word_to_exponents)
 from .modules import (Weight, character, check_relations, module_to_json,
                       simple_module, verma)
@@ -113,7 +113,8 @@ def cmd_casimir_check(args):
     print("casimir element:", c)
     bad = []
     for g, name in enumerate(GEN_NAMES):
-        comm = multiply(c, element(((g,), 1))) - multiply(element(((g,), 1)), c)
+        x = element(((g,), 1))
+        comm = c * x - x * c
         if comm:
             bad.append(name)
             print("  [c, %s] = %s" % (name, comm))
@@ -126,8 +127,17 @@ def cmd_casimir_check(args):
     return 0
 
 
-def _module_command(args, build):
-    mod = build(_weight(args), args.depth)
+def _build(args):
+    """The module that args name: its kind args.module, its top weight and
+    args.depth."""
+    # looked up at each call, so that a wrapper set over this module's
+    # verma or simple_module (as bench/tracer.py sets) sees the call
+    build = {"verma": verma, "simple": simple_module}[args.module]
+    return build(_weight(args), args.depth)
+
+
+def cmd_module(args):
+    mod = _build(args)
     if args.format == "json":
         _dump(module_to_json(mod))
         return 0
@@ -139,17 +149,8 @@ def _module_command(args, build):
     return 0 if rep.passed else 1
 
 
-def cmd_verma(args):
-    return _module_command(args, verma)
-
-
-def cmd_simple(args):
-    return _module_command(args, simple_module)
-
-
 def cmd_character(args):
-    build = verma if args.module == "verma" else simple_module
-    ch = character(build(_weight(args), args.depth))
+    ch = character(_build(args))
     if args.format == "json":
         _dump(ch.to_json())
     else:
@@ -173,8 +174,7 @@ def cmd_multiplicities(args):
 def cmd_singular(args):
     lam = _weight(args)
     mu = Weight(args.mu_h, args.mu_hbar)
-    build = verma if args.module == "verma" else simple_module
-    mod = build(lam, args.depth)
+    mod = _build(args)
     vecs = singular_vectors(mod, mu)
     if args.format == "json":
         _dump({"top": lam.to_json(), "mu": mu.to_json(),
@@ -321,7 +321,7 @@ def build_parser():
                             "with every generator")
     p.set_defaults(fn=cmd_casimir_check)
 
-    for name, fn in (("verma", cmd_verma), ("simple", cmd_simple)):
+    for name in ("verma", "simple"):
         p = sub.add_parser(name, help="build the %s module as explicit "
                                       "matrices" % name)
         _add_weight_options(p)
@@ -329,7 +329,7 @@ def build_parser():
                        help="truncation window (default 6)")
         p.add_argument("--format", choices=("table", "json"),
                        default="table")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_module, module=name)
 
     p = sub.add_parser("character", help="depthwise dimensions of a module")
     _add_weight_options(p)

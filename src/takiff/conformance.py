@@ -14,7 +14,7 @@ from math import ceil
 from time import perf_counter
 
 from .algebra import (GENERATORS, GEN_NAMES, HBAR, lie_bracket, element,
-                      casimir, multiply)
+                      casimir)
 from .modules import (Weight, verma, character, dualize, casimir_scalar,
                       casimir_action)
 from .structure import (singular_vectors, multiplicities, mn_filtration,
@@ -157,7 +157,7 @@ def check_casimir_central():
     c = casimir()
     for g in GENERATORS:
         gelt = element(((g,), 1))
-        if multiply(c, gelt) - multiply(gelt, c):
+        if c * gelt - gelt * c:
             return False, "casimir does not commute with %s" % GEN_NAMES[g]
     return True, "commutes with all 6 generators"
 

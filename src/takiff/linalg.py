@@ -4,10 +4,10 @@ Every entry of a Mat is a fractions.Fraction, never an int.  The public
 Mat constructor coerces what it is given, and the results of Mat
 operations are built from Fractions already, so they are adopted without
 coercion.  No result shares a row list with an operand, so callers may
-write into ``mat.rows[r][c]``.  RowSpace and SparseSystem.add_row take
-ints, Fractions and floats, each converted exactly, and the reduced rows,
-kernel vectors and reduced vectors they hand back are Fractions whatever
-they were given.
+write into ``mat.rows[r][c]``.  RowSpace takes ints, Fractions and
+floats, each converted exactly, and SparseSystem.add_row takes ints only.
+The reduced rows, kernel vectors and reduced vectors they hand back are
+Fractions whatever they were given.
 
 The dense kernel skips zeros: sums, differences, scalar and matrix products
 and matvec perform Fraction arithmetic only where both operands are
@@ -22,8 +22,9 @@ fraction-free, and the Ext solver feeds SparseSystem int rows assembled
 from cleared action blocks.
 
 There are two elimination engines, one per job, and the only state of
-each is a list of integer rows: an added vector or row is cleared of
-denominators first, by _integer_vector.
+each is a list of integer rows: a vector added to a RowSpace is cleared of
+denominators first, by _integer_vector, and a SparseSystem row comes in
+ints.
 
 - RowSpace, for the slices of a module (small dense matrices, a depth-20
   Verma slice is 21 columns wide).  It is incremental Gauss-Jordan: an
@@ -409,25 +410,23 @@ class SparseSystem:
         self._eliminated = False
 
     def add_row(self, row):
-        """Append a row {column: coefficient} as a primitive integer row,
-        a positive multiple of it with its zeros dropped; after eliminate()
-        the next query eliminates again, with the echelon rows plus this
-        one.  Coefficients may be ints, Fractions or floats.  A column that
-        is not an int in 0..ncols-1 raises ValueError."""
+        """Append a row {column: int coefficient} as a primitive integer
+        row, its zeros dropped and its content divided out; after
+        eliminate() the next query eliminates again, with the echelon rows
+        plus this one.  A column that is not an int in 0..ncols-1, or a
+        coefficient that is not an int, raises ValueError naming it."""
         ncols = self.ncols
         kept = {}
-        cleared = True
         for c, v in row.items():
             if type(c) is not int or not 0 <= c < ncols:
                 raise ValueError("row column %r is not an int in 0..%d"
                                  % (c, ncols - 1))
+            if type(v) is not int:
+                raise ValueError("row coefficient %r at column %d is not an "
+                                 "int" % (v, c))
             if v:
                 kept[c] = v
-                if type(v) is not int:
-                    cleared = False
         if kept:
-            if not cleared:
-                kept = dict(zip(kept, _integer_vector(kept.values())))
             _divide_content(kept)
             self.rows.append(kept)
             self._eliminated = False

@@ -30,7 +30,8 @@ from math import lcm
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       GEN_BY_NAME, DEPTH_SHIFT, _BRACKET, _PAIRS,
-                      exact_int, exact_rat, straighten_word)
+                      _check_letters, exact_int, exact_rat, json_field,
+                      straighten_word)
 from .linalg import Mat, integer_product_sum
 
 __all__ = [
@@ -75,7 +76,8 @@ class Weight:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["h"], data["hbar"])
+        return cls(json_field(data, "h", "weight"),
+                   json_field(data, "hbar", "weight"))
 
     def __str__(self):
         return "(%s, %s)" % (self.h, self.hbar)
@@ -115,8 +117,10 @@ class Character:
     @classmethod
     def from_json(cls, data):
         # JSON object keys are strings; __post_init__ makes them ints
-        return cls(Weight.from_json(data["top"]), data["depth"],
-                   {exact_rat(d, "depth"): m for d, m in data["dims"].items()})
+        return cls(Weight.from_json(json_field(data, "top", "character")),
+                   json_field(data, "depth", "character"),
+                   {exact_rat(d, "depth"): m for d, m
+                    in json_field(data, "dims", "character").items()})
 
 
 class TruncatedModule:
@@ -159,9 +163,10 @@ class TruncatedModule:
 
     def act(self, g, n):
         """Matrix of generator g on depth n (zero-shaped if out of window).
-        A g that is not a generator id 0..5 raises ValueError."""
-        if g not in GENERATORS:
-            raise ValueError("generator %r is not a generator id 0..5" % (g,))
+        A g that is not a generator id 0..5, or an n that is not an
+        integer, raises ValueError."""
+        _check_letters((g,), "generator")
+        n = exact_int(n, "depth")
         src = self.dims[n] if 0 <= n <= self.depth else 0
         t = n + DEPTH_SHIFT[g]
         tgt = self.dims[t] if 0 <= t <= self.depth else 0
@@ -328,9 +333,6 @@ class RelationReport:
     checked: int
     skipped: list      # (gen_x, gen_y, depth) not verifiable in the window
     failures: list     # (gen_x, gen_y, depth)
-
-    def __bool__(self):
-        return self.passed
 
 
 def _integer_blocks(module):
@@ -507,27 +509,30 @@ def module_to_json(module):
 
 def module_from_json(data):
     """The module module_to_json wrote.  ``complete`` must be a JSON
-    boolean, absent meaning false; any other value raises ValueError."""
+    boolean, absent meaning false; any other value, a missing field or a
+    document that is not a JSON object raises ValueError."""
+    top = Weight.from_json(json_field(data, "top", "module"))
     complete = data.get("complete", False)
     if not isinstance(complete, bool):
         raise ValueError("complete must be true or false, got %r"
                          % (complete,))
-    module = TruncatedModule(Weight.from_json(data["top"]), data["depth"],
-                             data["dims"], {g: {} for g in GENERATORS},
-                             complete)
+    module = TruncatedModule(top, json_field(data, "depth", "module"),
+                             json_field(data, "dims", "module"),
+                             {g: {} for g in GENERATORS}, complete)
     depth, dims = module.depth, module.dims
-    for name, blocks in data["actions"].items():
+    for name, blocks in json_field(data, "actions", "module").items():
         if name not in GEN_BY_NAME:
             raise ValueError("unknown generator %r" % (name,))
-        g = GEN_BY_NAME[name]
+        g, what = GEN_BY_NAME[name], "%s block" % name
         for blk in blocks:
-            n = exact_int(blk["from_depth"], "%s from_depth" % name)
+            n = exact_int(json_field(blk, "from_depth", what),
+                          "%s from_depth" % name)
             t = n + DEPTH_SHIFT[g]
             if not (0 <= n <= depth and 0 <= t <= depth):
                 raise ValueError("%s block at from_depth %d maps to depth %d, "
                                  "outside 0..%d" % (name, n, t, depth))
             mat = Mat.zeros(dims[t], dims[n])
-            for r, c, val in blk["entries"]:
+            for r, c, val in json_field(blk, "entries", what):
                 r = exact_int(r, "%s entry row" % name)
                 c = exact_int(c, "%s entry column" % name)
                 if not (0 <= r < dims[t] and 0 <= c < dims[n]):

@@ -242,20 +242,6 @@ def _quotient(module, spaces):
     return quo
 
 
-def project_vector(quo, d, vec):
-    """Image of an ambient depth-d vector in the quotient's coordinates.
-    Raises ValueError for a depth outside the quotient's window or a vector
-    of the wrong length."""
-    d = exact_int(d, "depth")
-    if not 0 <= d <= quo.depth:
-        raise ValueError("depth %d outside the window 0..%d" % (d, quo.depth))
-    proj = quo.projection[d]
-    if len(vec) != proj.ncols:
-        raise ValueError("vector at depth %d has length %d, expected %d"
-                         % (d, len(vec), proj.ncols))
-    return proj.matvec([Fraction(x) for x in vec])
-
-
 # ---------------------------------------------------------------------------
 # composition multiplicities by peeling
 
@@ -306,13 +292,6 @@ def multiplicities(ch):
 # ---------------------------------------------------------------------------
 # the uniserial quotients Delta / K_n
 
-def _fbar_power_vector(module, i):
-    """Coordinates of fbar^i v in the Verma basis (depth i, index i)."""
-    vec = [Fraction(0)] * module.dims[i]
-    vec[i] = Fraction(1)
-    return vec
-
-
 @dataclass
 class FiltrationResult:
     """Top-down filtration M = X_0 > X_1 > ... > X_k = 0 of M = Delta/K_n,
@@ -357,7 +336,8 @@ def mn_filtration(top, depth=None):
     mn_acts = _integer_blocks(mn)
     chain = []
     for i in range(k + 1):
-        gen = project_vector(mn, i, _fbar_power_vector(delta, i))
+        # the image of fbar^i v, the i-th basis vector at depth i
+        gen = [row[i] for row in mn.projection[i].rows]
         if all(x == 0 for x in gen):
             chain.append(None)  # the zero submodule
         else:
@@ -464,17 +444,21 @@ def hasse_diagram(top, offsets=None):
     depth = n + offsets + 3
     delta = verma(top, depth)
     delta_acts = _integer_blocks(delta)
+
+    def generated(d, i):
+        """The RowSpaces of the submodule generated by the basis vector
+        f^(d-i) fbar^i v."""
+        vec = [0] * delta.dims[d]
+        vec[i] = 1
+        return _closure(delta, [(d, vec)], delta_acts)
+
     mods = {}  # label -> (kind, generator depth, RowSpaces of the slices)
     for i in range(offsets + 1):
-        mods["V%d" % i] = ("verma", i, _closure(
-            delta, [(i, _fbar_power_vector(delta, i))], delta_acts))
+        mods["V%d" % i] = ("verma", i, generated(i, i))
     for i in range(k + 1):
         m = n - 2 * i
         d = m + 1 + i
-        vec = [0] * delta.dims[d]
-        vec[i] = 1  # f^(m+1) fbar^i v
-        mods["K%d" % m] = ("kernel", d, _closure(delta, [(d, vec)],
-                                                 delta_acts))
+        mods["K%d" % m] = ("kernel", d, generated(d, i))
     labels = sorted(mods)
 
     def leq(a, b):  # a contained in b

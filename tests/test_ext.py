@@ -543,6 +543,14 @@ def _solve_recording(lam, mu, cat, N, with_cocycles, fraction):
             super().__init__(ncols)
             systems.append(self)
 
+        def add_row(self, row):
+            if fraction:
+                # add_row takes ints: the Fraction assembler's row times
+                # the lcm of its denominators, the same equation
+                den = lcm(*[Fraction(v).denominator for v in row.values()])
+                row = {c: int(v * den) for c, v in row.items()}
+            super().add_row(row)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ext_mod, "SparseSystem", Recording)
         if fraction:

@@ -158,6 +158,12 @@ def _random_rows(rng, m, n):
             for _ in range(m)]
 
 
+def _int_row(row):
+    """A dense row as the equation SparseSystem.add_row takes: its
+    nonzeros times the lcm of their denominators, as ints."""
+    return _int_multiple({c: v for c, v in enumerate(row) if v})
+
+
 def test_sparse_matches_dense_on_random_systems():
     rng = random.Random(7)
     for _ in range(80):
@@ -165,7 +171,7 @@ def test_sparse_matches_dense_on_random_systems():
         rows = _random_rows(rng, m, n)
         sysm = SparseSystem(n)
         for r in rows:
-            sysm.add_row({c: v for c, v in enumerate(r) if v})
+            sysm.add_row(_int_row(r))
         dense = M(rows)
         assert sysm.rank() == rank(dense)
         ker = sysm.nullspace_basis()
@@ -217,7 +223,7 @@ def test_sparse_results_do_not_depend_on_pivot_rows(m, n, r):
         for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
             sysm = SparseSystem(n)
             for row in order:
-                sysm.add_row({c: v for c, v in enumerate(row) if v})
+                sysm.add_row(_int_row(row))
             assert sysm.nullspace_basis() == ker
             # the lazy form yields the same vectors in the same order
             assert list(sysm.kernel_vectors()) == ker
@@ -273,7 +279,7 @@ def test_sparse_reduce_vector_zeroes_row_space():
         rows = _random_rows(rng, rng.randrange(1, 8), n)
         sysm = SparseSystem(n)
         for r in rows:
-            sysm.add_row({c: v for c, v in enumerate(r) if v})
+            sysm.add_row(_int_row(r))
         for r in rows:
             assert all(x == 0 for x in sysm.reduce_vector(r))
         # combinations too
@@ -284,7 +290,7 @@ def test_sparse_reduce_vector_zeroes_row_space():
 
 def test_sparse_reduce_vector_keeps_complement():
     sysm = SparseSystem(3)
-    sysm.add_row({0: Fraction(1), 1: Fraction(1)})
+    sysm.add_row({0: 1, 1: 1})
     red = sysm.reduce_vector([Fraction(0), Fraction(2), Fraction(5)])
     # pivot column 0 already zero; nothing to do
     assert red == [Fraction(0), Fraction(2), Fraction(5)]
@@ -295,8 +301,8 @@ def test_sparse_reduce_vector_keeps_complement():
 def test_sparse_rank_with_duplicate_rows():
     sysm = SparseSystem(4)
     for _ in range(3):
-        sysm.add_row({0: Fraction(1), 2: Fraction(2)})
-    sysm.add_row({1: Fraction(5)})
+        sysm.add_row({0: 1, 2: 2})
+    sysm.add_row({1: 5})
     assert sysm.rank() == 2
     assert len(sysm.nullspace_basis()) == 2
 
@@ -374,9 +380,13 @@ def _normalized(sysm):
 def test_rows_hold_only_ints():
     sysm = SparseSystem(3)
     sysm.add_row({0: 2, 1: 4, 2: 0})
-    sysm.add_row({0: Fraction(1, 3), 2: 0.5})
-    # each row is cleared of denominators (a float converted exactly) and
-    # divided by its content, and zeros are dropped
+    # a coefficient that is not an int is refused, and the row is not kept
+    for bad in (Fraction(1, 3), Fraction(2), 0.5, True):
+        with pytest.raises(ValueError, match=r"coefficient %s at column 2 "
+                           r"is not an int" % re.escape(repr(bad))):
+            sysm.add_row({0: 2, 2: bad})
+    sysm.add_row({0: 4, 2: 6})
+    # each row is divided by its content, and zeros are dropped
     assert sysm.rows == [{0: 1, 1: 2}, {0: 2, 2: 3}]
     assert _only_ints(sysm)
     assert sysm.rank() == 2
@@ -408,10 +418,10 @@ def test_add_row_after_eliminate_matches_dense():
         rows = _random_rows(rng, m + rng.randrange(1, 4), n)
         sysm = SparseSystem(n)
         for row in rows[:m]:
-            sysm.add_row({c: v for c, v in enumerate(row) if v})
+            sysm.add_row(_int_row(row))
         sysm.rank()
         for row in rows[m:]:
-            sysm.add_row({c: v for c, v in enumerate(row) if v})
+            sysm.add_row(_int_row(row))
         dense = M(rows)
         rref_rows, pivots = rref(dense)
         assert sysm.rank() == len(pivots)
@@ -492,28 +502,27 @@ def _int_multiple(row):
 
 @pytest.mark.parametrize("m,n", [(4, 4), (8, 5), (5, 9), (12, 12), (20, 8)])
 def test_sparse_eliminate_matches_fraction_reference(m, n):
-    # each case goes in twice: as drawn, and with every row an int multiple
-    # of itself, the form the Ext assembly produces; the echelon is the same
+    # each row goes in as an int multiple of itself, the form the Ext
+    # assembly produces; the reference eliminates the rows as drawn, and
+    # the echelon is the same
     rng = random.Random(100 * m + n)
     for _ in range(40):
         rows = _random_sparse_rows(rng, m, n)
         extra = _random_sparse_rows(rng, rng.randrange(1, 4), n)
-        for feed in (dict, _int_multiple):
-            sysm = SparseSystem(n)
-            for row in rows:
-                sysm.add_row(feed(row))
-            assert _only_ints(sysm)
-            sysm.eliminate()
-            _assert_same_echelon(sysm, rows)
-            # add_row after eliminate: the echelon rows plus the new ones;
-            # the reference divides, so it gets them as Fractions
-            echelon = [{c: Fraction(v) for c, v in r.items()}
-                       for r in sysm.rows]
-            for row in extra:
-                sysm.add_row(feed(row))
-            assert _only_ints(sysm)
-            sysm.eliminate()
-            _assert_same_echelon(sysm, echelon + extra)
+        sysm = SparseSystem(n)
+        for row in rows:
+            sysm.add_row(_int_multiple(row))
+        assert _only_ints(sysm)
+        sysm.eliminate()
+        _assert_same_echelon(sysm, rows)
+        # add_row after eliminate: the echelon rows plus the new ones; the
+        # reference divides, so it gets them as Fractions
+        echelon = [{c: Fraction(v) for c, v in r.items()} for r in sysm.rows]
+        for row in extra:
+            sysm.add_row(_int_multiple(row))
+        assert _only_ints(sysm)
+        sysm.eliminate()
+        _assert_same_echelon(sysm, echelon + extra)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS,
-                            GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS)
+                            GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS,
+                            EnvelopingElement)
 from takiff import modules as modules_mod
 from takiff.ext import (assemble_extension, block_of, ext1, quiver,
                         stabilize_ext)
@@ -110,13 +111,23 @@ def test_act_outside_window_is_zero_shaped():
     assert top.nrows == 0 and top.ncols == 1
 
 
-@pytest.mark.parametrize("g", [-1, 6, "e"])
+@pytest.mark.parametrize("g", [-1, 6, "e", True, False])
 def test_act_refuses_a_bad_generator_id(g):
-    # -1 used to wrap round to ebar's depth shift and read as a zero block
+    # -1 used to wrap round to ebar's depth shift and read as a zero block;
+    # True returned fbar's block
     m = verma((1, 0), 2)
     with pytest.raises(ValueError, match=re.escape(
-            "generator %r is not a generator id 0..5" % (g,))):
+            "letter 0 is %r, not a generator id 0..5" % (g,))):
         m.act(g, 1)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1", Fraction(1, 2)])
+def test_act_refuses_a_depth_that_is_not_an_integer(n):
+    # True returned h's depth-1 block, and 1.0 raised a TypeError
+    m = verma((1, 0), 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "depth must be an integer, got %r" % (n,))):
+        m.act(H, n)
 
 
 # ---------------------------------------------------------------------------
@@ -728,3 +739,37 @@ def test_module_from_json_refuses_booleans_and_zero_denominators(edit,
                                                                  message):
     with pytest.raises(ValueError, match=message):
         module_from_json(_corrupt_verma_json(edit))
+
+
+def _without(key, data):
+    data.pop(key)
+    return data
+
+
+@pytest.mark.parametrize("read, data, message", [
+    # each raised a KeyError, an AttributeError or a TypeError
+    (module_from_json, {}, "module has no 'top' field"),
+    (module_from_json, [], "module must be a JSON object, got list"),
+    (module_from_json, _without("actions", module_to_json(verma((1, 0), 1))),
+     "module has no 'actions' field"),
+    (module_from_json,
+     _corrupt_verma_json(lambda d: d["actions"]["h"][1].pop("from_depth")),
+     "h block has no 'from_depth' field"),
+    (module_from_json,
+     _corrupt_verma_json(lambda d: d["actions"]["e"][0].pop("entries")),
+     "e block has no 'entries' field"),
+    (Character.from_json,
+     _without("dims", character(verma((1, 0), 2)).to_json()),
+     "character has no 'dims' field"),
+    (Character.from_json, "1", "character must be a JSON object, got str"),
+    (Weight.from_json, {"h": "1"}, "weight has no 'hbar' field"),
+    (Weight.from_json, [], "weight must be a JSON object, got list"),
+    (EnvelopingElement.from_json, {}, "element has no 'terms' field"),
+    (EnvelopingElement.from_json, {"terms": [{"exp": [0] * 6}]},
+     "term has no 'coef' field"),
+    (EnvelopingElement.from_json, {"terms": [None]},
+     "term must be a JSON object, got NoneType"),
+])
+def test_json_readers_name_a_missing_field(read, data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(data)

@@ -21,8 +21,8 @@ from takiff.linalg import Mat, RowSpace, solve_columns
 from takiff.modules import (TruncatedModule, Weight, character,
                             check_relations, dualize, simple_dims, verma)
 from takiff.structure import (hasse_diagram, mn_filtration,
-                              multiplicities, project_vector, quotient,
-                              singular_vectors, submodule)
+                              multiplicities, quotient, singular_vectors,
+                              submodule)
 from takiff.conformance import MULTIPLICITY_TABLES, HASSE_N4_EDGES
 
 
@@ -144,7 +144,7 @@ def test_quotient_dimensions_and_exactness():
     # projection kills the submodule
     for d in range(7):
         for col in s.embedding[d].transpose().rows:
-            img = project_vector(q, d, col)
+            img = q.projection[d].matvec(col)
             assert all(x == 0 for x in img)
 
 
@@ -470,19 +470,6 @@ def test_submodule_rejects_a_generator_of_the_wrong_length():
         submodule(m, [(2, [1, 0])])
 
 
-@pytest.mark.parametrize("depth, vec, message", [
-    (-1, [1], "depth -1 outside the window 0..4"),
-    (5, [1] * 6, "depth 5 outside the window 0..4"),
-    (2.0, [1, 0, 0], "depth must be an integer, got 2.0"),
-    (3, [1, 0], "vector at depth 3 has length 2, expected 4"),
-])
-def test_project_vector_rejects_bad_input(depth, vec, message):
-    m = verma(Weight(2, 0), 4)
-    q = quotient(m, submodule(m, [(3, [1, 0, 0, 0])]))
-    with pytest.raises(ValueError, match=message):
-        project_vector(q, depth, vec)
-
-
 def test_quotient_rejects_an_embedding_of_the_wrong_height():
     m = verma(Weight(2, 0), 4)
     s = submodule(m, [(3, [1, 0, 0, 0])])
@@ -496,23 +483,16 @@ def test_generator_depth_checks_survive_python_O():
     root = Path(__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = ("from takiff.modules import Weight, verma\n"
-            "from takiff.structure import submodule, quotient, "
-            "project_vector\n"
+            "from takiff.structure import submodule\n"
             "m = verma(Weight(2, 0), 5)\n"
             "for d, v in ((-1, [1]), (9, [1])):\n"
             "    try:\n"
             "        submodule(m, [(d, v)])\n"
             "    except ValueError as exc:\n"
-            "        print(exc)\n"
-            "q = quotient(m, submodule(m, [(3, [1, 0, 0, 0])]))\n"
-            "try:\n"
-            "    project_vector(q, -1, [1])\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n")
+            "        print(exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "generator depth -1 outside the window 0..5",
-        "generator depth 9 outside the window 0..5",
-        "depth -1 outside the window 0..5"]
+        "generator depth 9 outside the window 0..5"]
