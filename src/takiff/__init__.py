@@ -12,10 +12,10 @@ resulting Gabriel quivers (DOT output).
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       EnvelopingElement, lie_bracket, straighten_word,
                       casimir)
-from .modules import (Weight, ALPHA, Character, TruncatedModule, verma,
+from .modules import (Weight, Character, TruncatedModule, verma,
                       simple_module, simple_dims, character, dualize,
                       check_relations, casimir_action, casimir_scalar,
-                      category_check, module_to_json, module_from_json)
+                      category_check, module_to_json)
 from .structure import (singular_vectors, submodule, quotient,
                         multiplicities, mn_filtration, hasse_diagram,
                         SubmodulePoset)

@@ -70,8 +70,8 @@ DEPTH_SHIFT = (+1, +1, 0, 0, -1, -1)
 def exact_int(value, name):
     """value as an int.  Depths, windows and indices are integers: an int or
     an integral Fraction passes, anything else (4.9, 1.5, "3", 2.0, or a
-    bool, which JSON readers hand out for true and false) raises ValueError
-    naming the argument, where int() would truncate or read true as 1."""
+    bool) raises ValueError naming the argument, where int() would
+    truncate or read True as 1."""
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -81,9 +81,9 @@ def exact_int(value, name):
 
 def exact_rat(value, name):
     """value as a Fraction.  An int, a Fraction or a string such as "-3/4"
-    passes; a float (0.1 is only a binary approximation of 1/10, and JSON
-    readers hand out floats), a bool, a zero denominator ("1/0") or
-    anything else raises ValueError naming the field."""
+    passes; a float (0.1 is only a binary approximation of 1/10), a bool,
+    a zero denominator ("1/0") or anything else raises ValueError naming
+    the field."""
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
@@ -93,18 +93,6 @@ def exact_rat(value, name):
             pass
     raise ValueError("%s must be an exact rational (an int or a 'p/q' "
                      "string with q != 0), got %r" % (name, value))
-
-
-def json_field(data, key, what):
-    """data[key], for the JSON document data that describes what.  A
-    document that is not a JSON object (a dict), or an object without the
-    key, raises ValueError naming the type it has or the key."""
-    if not isinstance(data, dict):
-        raise ValueError("%s must be a JSON object, got %s"
-                         % (what, type(data).__name__))
-    if key not in data:
-        raise ValueError("%s has no %r field" % (what, key))
-    return data[key]
 
 
 def _check_letters(letters, what):
@@ -246,11 +234,15 @@ def straighten_word(word, coefficient=Fraction(1)):
     word = tuple(word)
     _check_letters(word, "word")
     # the longest sorted suffix is its own normal form, so straightening
-    # starts from it and pushes in only the letters before it
+    # starts from it and pushes in only the letters before it; its letters
+    # are checked and sorted, so counting them gives its exponents
     k = max(len(word) - 1, 0)
     while k > 0 and word[k - 1] <= word[k]:
         k -= 1
-    terms = {word_to_exponents(word[k:]): 1}
+    exps = [0] * 6
+    for g in word[k:]:
+        exps[g] += 1
+    terms = {tuple(exps): 1}
     for g in reversed(word[:k]):
         nxt = {}
         for w, c in terms.items():
@@ -335,21 +327,6 @@ class EnvelopingElement(dict):
     def to_json(self):
         return {"terms": [{"exp": list(exps), "coef": str(coef)}
                           for exps, coef in sorted(self.items())]}
-
-    @classmethod
-    def from_json(cls, data):
-        """The element to_json wrote.  Each term's exp must be six
-        non-negative integers; anything else, or a missing field, raises
-        ValueError naming the term or the field."""
-        terms = {}
-        for t in json_field(data, "terms", "element"):
-            exps = tuple(exact_int(e, "exp")
-                         for e in json_field(t, "exp", "term"))
-            if len(exps) != 6 or min(exps) < 0:
-                raise ValueError("exp must be six non-negative integers, "
-                                 "got term %r" % (t,))
-            terms[exps] = exact_rat(json_field(t, "coef", "term"), "coef")
-        return cls(terms)
 
 
 def element(*words_and_coefs):

@@ -33,12 +33,12 @@ equal nondegenerate weights or lie in one hbar = 0 coset.
 
 Truncation is handled by solving three consecutive windows, base,
 base + 1 and base + 2, and requiring the dimension to be flat on them.
-base is sized past both modules' supports (or given by the caller); the
-windows never slide, and a dimension that moves raises
-StabilizationError.  Each window is solved once: the first two rank only,
-the third with representatives when they are asked for.  That third solve
-is laid out top first, so its dimension, compared with the two rank-only
-ones below it, also cross-checks the two layouts.
+base is sized past both modules' supports; the windows never slide, and
+a dimension that moves raises StabilizationError.  Each window is solved
+once: the first two rank only, the third with representatives when they
+are asked for.  That third solve is laid out top first, so its
+dimension, compared with the two rank-only ones below it, also
+cross-checks the two layouts.
 
 The unknowns are laid out in blocks, one per (source depth, generator), in
 one of two depth orders.  A solve that draws representatives (ext1 with
@@ -216,8 +216,9 @@ def _on_coset(mod, off, N, block):
 def _prepare(lam, mu, category, window):
     """The weights as Weights and, for weights in different blocks, the
     zero result.  Raises ValueError for an unknown category, and for
-    weights in different blocks a first window below 2, which no
-    same-block pair accepts either."""
+    weights in different blocks a window below 2, which no same-block
+    pair accepts either; stabilize_ext, which picks its own windows,
+    passes None."""
     lam, mu = Weight.of(lam), Weight.of(mu)
     if category not in ("O", "Otilde"):
         raise ValueError("category must be 'O' or 'Otilde'")
@@ -232,9 +233,10 @@ def _prepare(lam, mu, category, window):
                               note=note)
 
 
-def ext1(lam, mu, category="O", window=None, with_cocycles=True):
-    """dim Ext^1(L(lam), L(mu)) at one window depth, with representative
-    cocycles.  Categories: "O" (strict) or "Otilde" (relaxed).
+def ext1(lam, mu, category="O", *, window, with_cocycles=True):
+    """dim Ext^1(L(lam), L(mu)) at the window depth the caller names,
+    with representative cocycles.  Categories: "O" (strict) or "Otilde"
+    (relaxed).  The window is required: there is no default one.
 
     The result of a single window is only meaningful once the dimension is
     flat across consecutive windows; use stabilize_ext for the final answer.
@@ -242,17 +244,15 @@ def ext1(lam, mu, category="O", window=None, with_cocycles=True):
     rank-only layout; with them the coboundary system is built too and its
     rank checked against dim B^1 (see the module docstring).
     """
-    if window is not None:
-        window = exact_int(window, "window")
+    window = exact_int(window, "window")
     lam, mu, zero = _prepare(lam, mu, category, window)
     if zero is not None:
         return zero
     offv, offw = _coset_layout(lam, mu)
-    N = _default_window(lam, mu) if window is None else window
-    if N < max(offv, offw) + 2:
+    if window < max(offv, offw) + 2:
         raise ValueError("window %d too small for offsets (%d, %d)"
-                         % (N, offv, offw))
-    return _solve_window(lam, mu, category, N, with_cocycles)
+                         % (window, offv, offw))
+    return _solve_window(lam, mu, category, window, with_cocycles)
 
 
 def _add_product(rows, width, blk, left, right, scale):
@@ -433,21 +433,19 @@ def _add_representatives(result, system, bsys, blocks):
     return result
 
 
-def stabilize_ext(lam, mu, category="O", start=None, with_cocycles=False):
+def stabilize_ext(lam, mu, category="O", *, with_cocycles=False):
     """Ext^1 on the three windows base, base + 1 and base + 2, where base
-    is start or, by default, the first window past both modules' supports.
-    Raises StabilizationError at the first window whose dimension differs
-    from the first one's.
+    is the first window past both modules' supports.  Raises
+    StabilizationError at the first window whose dimension differs from
+    the first one's.
 
     Each window is solved once: the first two rank only, the third with
     cocycles when they are asked for, in the top-first layout, so a layout
     disagreement on the third window also raises StabilizationError."""
-    if start is not None:
-        start = exact_int(start, "start")
-    lam, mu, zero = _prepare(lam, mu, category, start)
+    lam, mu, zero = _prepare(lam, mu, category, None)
     if zero is not None:
         return zero
-    base = _default_window(lam, mu) if start is None else start
+    base = _default_window(lam, mu)
     history = []
     for N in (base, base + 1, base + 2):
         result = ext1(lam, mu, category, window=N,

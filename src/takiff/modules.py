@@ -29,16 +29,15 @@ from functools import lru_cache
 from math import lcm
 
 from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
-                      GEN_BY_NAME, DEPTH_SHIFT, _BRACKET, _PAIRS,
-                      _check_letters, exact_int, exact_rat, json_field,
-                      straighten_word)
+                      DEPTH_SHIFT, _BRACKET, _PAIRS, _check_letters,
+                      exact_int, exact_rat, straighten_word)
 from .linalg import Mat, integer_product_sum
 
 __all__ = [
-    "Weight", "ALPHA", "Character", "TruncatedModule", "verma",
-    "simple_module", "simple_dims", "character", "dualize",
-    "check_relations", "RelationReport", "casimir_action", "casimir_scalar",
-    "category_check", "module_to_json", "module_from_json",
+    "Weight", "Character", "TruncatedModule", "verma", "simple_module",
+    "simple_dims", "character", "dualize", "check_relations",
+    "RelationReport", "casimir_action", "casimir_scalar", "category_check",
+    "module_to_json",
 ]
 
 
@@ -74,16 +73,8 @@ class Weight:
     def to_json(self):
         return {"h": str(self.h), "hbar": str(self.hbar)}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(json_field(data, "h", "weight"),
-                   json_field(data, "hbar", "weight"))
-
     def __str__(self):
         return "(%s, %s)" % (self.h, self.hbar)
-
-
-ALPHA = Weight(2, 0)
 
 
 @dataclass
@@ -113,14 +104,6 @@ class Character:
     def to_json(self):
         return {"top": self.top.to_json(), "depth": self.depth,
                 "dims": {str(d): m for d, m in sorted(self.dims.items())}}
-
-    @classmethod
-    def from_json(cls, data):
-        # JSON object keys are strings; __post_init__ makes them ints
-        return cls(Weight.from_json(json_field(data, "top", "character")),
-                   json_field(data, "depth", "character"),
-                   {exact_rat(d, "depth"): m for d, m
-                    in json_field(data, "dims", "character").items()})
 
 
 class TruncatedModule:
@@ -342,7 +325,7 @@ def _integer_blocks(module):
     linalg.integer_product_sum; a block whose source slice lies outside the
     window is ().  Raises ValueError for a block whose shape is not
     (dims[n + shift], dims[n]) and for an entry that is not an int or a
-    Fraction."""
+    Fraction (a bool is not one)."""
     N, dims = module.depth, module.dims
     dens = {1}
     stored = []  # (acts[g], n + 1, rows of (column, rational) nonzeros)
@@ -368,7 +351,8 @@ def _integer_blocks(module):
                        want[0], want[1]))
             for r in blk.rows:
                 if not _EXACT_TYPES.issuperset(map(type, r)):
-                    bad = [x for x in r if not isinstance(x, (int, Fraction))]
+                    bad = [x for x in r if isinstance(x, bool)
+                           or not isinstance(x, (int, Fraction))]
                     if bad:
                         raise ValueError(
                             "%s block at depth %d has a non-exact entry %r"
@@ -401,8 +385,9 @@ def check_relations(module):
     and the bracket constants c are integers.  So every pair is checked
     exactly at every depth, and the report is the one the same check over
     Fractions gives.  A block of the wrong shape, or an entry that is not
-    an int or a Fraction (a float would be checked only approximately),
-    raises ValueError naming the generator and the depth.
+    an int or a Fraction (a float would be checked only approximately, and
+    a bool is refused too), raises ValueError naming the generator and the
+    depth.
     """
     den, acts = _integer_blocks(module)
     checked, skipped, failures = 0, [], []
@@ -505,40 +490,3 @@ def module_to_json(module):
     return {"top": module.top.to_json(), "depth": module.depth,
             "dims": list(module.dims), "complete": module.complete,
             "actions": actions}
-
-
-def module_from_json(data):
-    """The module module_to_json wrote.  ``complete`` must be a JSON
-    boolean, absent meaning false; any other value, a missing field or a
-    document that is not a JSON object raises ValueError."""
-    top = Weight.from_json(json_field(data, "top", "module"))
-    complete = data.get("complete", False)
-    if not isinstance(complete, bool):
-        raise ValueError("complete must be true or false, got %r"
-                         % (complete,))
-    module = TruncatedModule(top, json_field(data, "depth", "module"),
-                             json_field(data, "dims", "module"),
-                             {g: {} for g in GENERATORS}, complete)
-    depth, dims = module.depth, module.dims
-    for name, blocks in json_field(data, "actions", "module").items():
-        if name not in GEN_BY_NAME:
-            raise ValueError("unknown generator %r" % (name,))
-        g, what = GEN_BY_NAME[name], "%s block" % name
-        for blk in blocks:
-            n = exact_int(json_field(blk, "from_depth", what),
-                          "%s from_depth" % name)
-            t = n + DEPTH_SHIFT[g]
-            if not (0 <= n <= depth and 0 <= t <= depth):
-                raise ValueError("%s block at from_depth %d maps to depth %d, "
-                                 "outside 0..%d" % (name, n, t, depth))
-            mat = Mat.zeros(dims[t], dims[n])
-            for r, c, val in json_field(blk, "entries", what):
-                r = exact_int(r, "%s entry row" % name)
-                c = exact_int(c, "%s entry column" % name)
-                if not (0 <= r < dims[t] and 0 <= c < dims[n]):
-                    raise ValueError(
-                        "%s block at from_depth %d: entry (%d, %d) outside "
-                        "its %dx%d shape" % (name, n, r, c, dims[t], dims[n]))
-                mat.rows[r][c] = exact_rat(val, "%s entry value" % name)
-            module.actions[g][n] = mat
-    return module

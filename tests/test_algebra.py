@@ -261,64 +261,13 @@ def test_multiplication_is_associative_with_concatenation(w1, w2):
 
 
 # ---------------------------------------------------------------------------
-# element arithmetic and serialization
+# element arithmetic
 
 def test_element_arithmetic():
     x = element(((E, F), 1))          # straightens on construction
     y = element(((H,), 1))
     assert x - y == element(((F, E), 1))
     assert (x + (-x)) == EnvelopingElement()
-
-
-def test_element_json_roundtrip():
-    x = straighten_word((E, EBAR, F, FBAR))
-    assert EnvelopingElement.from_json(x.to_json()) == x
-    data = x.to_json()
-    assert all(isinstance(t["coef"], str) for t in data["terms"])
-
-
-@pytest.mark.parametrize("term, message", [
-    ({"exp": [0, 0, 1, 0, 0, 0], "coef": 0.1},
-     "coef must be an exact rational .* got 0.1"),
-    ({"exp": [0, 0, 1.5, 0, 0, 0], "coef": "1"},
-     "exp must be an integer, got 1.5"),
-])
-def test_element_from_json_rejects_floats(term, message):
-    with pytest.raises(ValueError, match=message):
-        EnvelopingElement.from_json({"terms": [term]})
-
-
-@pytest.mark.parametrize("term, message", [
-    # [true, 0, 0, 0, 0, 0] once read as f
-    ({"exp": [True, 0, 0, 0, 0, 0], "coef": "1"},
-     "exp must be an integer, got True"),
-    ({"exp": [1, 0, 0, 0, 0, 0], "coef": True},
-     "coef must be an exact rational .* got True"),
-    ({"exp": [1, 0, 0, 0, 0, 0], "coef": "1/0"},
-     "coef must be an exact rational .* got '1/0'"),
-])
-def test_element_from_json_refuses_booleans_and_zero_denominators(term,
-                                                                  message):
-    with pytest.raises(ValueError, match=message):
-        EnvelopingElement.from_json({"terms": [term]})
-
-
-def test_element_json_roundtrip_keeps_the_constant_term():
-    x = element(((E, F), 3), ((), Fraction(-1, 2)))
-    assert (0,) * 6 in x
-    assert EnvelopingElement.from_json(x.to_json()) == x
-
-
-@pytest.mark.parametrize("exp", [
-    [0, 0, 0, 0, 0, 0, 1],   # a 7-tuple key that would print as 1
-    [-1, 0, 0, 0, 0, 0],     # f^-1
-    [1, 2],                  # IndexError when printed
-])
-def test_element_from_json_rejects_bad_exponent_vectors(exp):
-    term = {"exp": exp, "coef": "1"}
-    with pytest.raises(ValueError, match=re.escape(
-            "exp must be six non-negative integers, got term %r" % term)):
-        EnvelopingElement.from_json({"terms": [term]})
 
 
 @pytest.mark.parametrize("bad", [-1, 6, "e", True, False])

@@ -58,8 +58,9 @@ def test_ext_across_blocks_is_zero_without_solving():
 
 @pytest.mark.parametrize("fn", [ext1, stabilize_ext])
 def test_category_is_validated_before_the_block_shortcut(fn):
+    kwargs = {"window": 4} if fn is ext1 else {}
     with pytest.raises(ValueError, match="category must be"):
-        fn(Weight(0, 0), Weight(1, 0), "bogus")
+        fn(Weight(0, 0), Weight(1, 0), "bogus", **kwargs)
 
 
 @pytest.mark.parametrize("mu", [Weight(-2, 0), Weight(1, 0)])
@@ -67,7 +68,6 @@ def test_category_is_validated_before_the_block_shortcut(fn):
     (ext1, {"window": 4.9}, "window must be an integer, got 4.9"),
     (ext1, {"window": Fraction(9, 2)},
      r"window must be an integer, got Fraction\(9, 2\)"),
-    (stabilize_ext, {"start": 3.7}, "start must be an integer, got 3.7"),
 ])
 def test_window_arguments_must_be_integers(fn, kwargs, message, mu):
     # int() would truncate 4.9 to 4; also across blocks, where no window
@@ -76,12 +76,22 @@ def test_window_arguments_must_be_integers(fn, kwargs, message, mu):
         fn(Weight(0, 0), mu, "O", **kwargs)
 
 
+def test_window_and_switches_are_keyword_only():
+    # stabilize_ext(lam, mu, "O", 3) once set its first window; read as
+    # with_cocycles=3 it would pass silently
+    lam, mu = Weight(0, 0), Weight(-2, 0)
+    with pytest.raises(TypeError):
+        stabilize_ext(lam, mu, "O", 3)
+    with pytest.raises(TypeError):
+        ext1(lam, mu, "O", 4)
+    with pytest.raises(TypeError):
+        ext1(lam, mu, "O")  # a fixed window is always one the caller names
+
+
 def test_integral_fraction_windows_are_accepted():
     lam, mu = Weight(0, 0), Weight(-2, 0)
     assert ext1(lam, mu, "O", window=Fraction(4)).to_json() == \
         ext1(lam, mu, "O", window=4).to_json()
-    r = stabilize_ext(lam, mu, "O", start=Fraction(3))
-    assert r.depths_checked == [3, 4, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +117,8 @@ def test_window_validation():
 @pytest.mark.parametrize("call, message", [
     (lambda: ext1(Weight(2, 0), Weight(3, 0), "O", window=1),
      "window 1 too small: no pair has a window below 2"),
-    (lambda: stabilize_ext(Weight(2, 0), Weight(3, 0), "O", start=-5),
-     "window -5 too small: no pair has a window below 2"),
     # the same-block messages are unchanged
     (lambda: ext1(Weight(0, 0), Weight(0, 0), "O", window=1),
-     r"window 1 too small for offsets \(0, 0\)"),
-    (lambda: stabilize_ext(Weight(0, 0), Weight(0, 0), "O", start=1),
      r"window 1 too small for offsets \(0, 0\)"),
 ])
 def test_a_window_below_2_is_refused_in_every_block(call, message):
@@ -123,7 +129,6 @@ def test_a_window_below_2_is_refused_in_every_block(call, message):
 def test_different_blocks_take_any_window_from_2():
     lam, mu = Weight(2, 0), Weight(3, 0)
     assert ext1(lam, mu, "O", window=2).dim == 0
-    assert stabilize_ext(lam, mu, "Otilde", start=2).dim == 0
 
 
 def test_stabilize_reports_windows():

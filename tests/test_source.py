@@ -137,6 +137,65 @@ def test_modules_are_built_only_inside_modules_py():
     assert callers == []
 
 
+def _writes_to_actions(target):
+    """True if the assignment target is .actions or lies inside it."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(map(_writes_to_actions, target.elts))
+    if isinstance(target, ast.Starred):
+        return _writes_to_actions(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "actions"
+
+
+def _actions_writers(tree):
+    """(qualified scope, line) of each assignment to .actions or into
+    .actions[...], scopes named class.method as in TruncatedModule.build."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            targets = []
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif isinstance(child, ast.Delete):
+                targets = child.targets
+            if any(map(_writes_to_actions, targets)):
+                found.append((".".join(scope), child.lineno))
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_truncated_module_writes_actions():
+    # a module is what TruncatedModule.build made of its blocks: only the
+    # constructor and build set or fill .actions
+    allowed = {"TruncatedModule.__init__", "TruncatedModule.build"}
+    writers = [(path.name, scope, line) for path in SOURCES
+               for scope, line in _actions_writers(ast.parse(path.read_text()))
+               if scope not in allowed]
+    assert writers == []
+
+
+def test_actions_writer_finder_sees_every_form():
+    code = ("x.actions = {}\n"
+            "def f(m):\n"
+            "    m.actions[g][n] = b\n"
+            "    a, m.actions[g] = 1, {}\n"
+            "    m.actions[g][n] += b\n"
+            "    del m.actions[g]\n"
+            "    m.other[0] = m.actions\n")
+    assert _actions_writers(ast.parse(code)) == [
+        ("", 1), ("f", 3), ("f", 4), ("f", 5), ("f", 6)]
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demos_run_cleanly(demo):
