@@ -270,6 +270,26 @@ def test_element_arithmetic():
     assert (x + (-x)) == EnvelopingElement()
 
 
+def _element_from_json(data):
+    # the package only writes elements; reading one back term by term
+    # shows that the written form keeps every exponent and coefficient
+    return EnvelopingElement((tuple(t["exp"]), Fraction(t["coef"]))
+                             for t in data["terms"])
+
+
+def test_element_json_roundtrip():
+    x = straighten_word((E, EBAR, F, FBAR))
+    assert _element_from_json(x.to_json()) == x
+    data = x.to_json()
+    assert all(isinstance(t["coef"], str) for t in data["terms"])
+
+
+def test_element_json_roundtrip_keeps_the_constant_term():
+    x = element(((E, F), 3), ((), Fraction(-1, 2)))
+    assert (0,) * 6 in x
+    assert _element_from_json(x.to_json()) == x
+
+
 @pytest.mark.parametrize("bad", [-1, 6, "e", True, False])
 @pytest.mark.parametrize("call, position", [
     (lambda g: straighten_word((E, g)), 1),

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS,
-                            GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS)
+                            GEN_NAMES, DEPTH_SHIFT, _BRACKET, _PAIRS,
+                            exact_rat)
 from takiff import modules as modules_mod
 from takiff.ext import (assemble_extension, block_of, ext1, quiver,
                         stabilize_ext)
@@ -23,7 +24,7 @@ from takiff.linalg import Mat
 from takiff.modules import (Character, TruncatedModule, Weight,
                             casimir_action, casimir_scalar, category_check,
                             character, check_relations, dualize,
-                            RelationReport, simple_dims, simple_module,
+                            module_to_json, RelationReport, simple_dims, simple_module,
                             verma)
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -607,3 +608,99 @@ def test_weight_refuses_booleans_and_zero_denominators(call, message):
         call()
 
 
+
+
+# ---------------------------------------------------------------------------
+# serialization: the package writes JSON; these readers, built on the
+# constructors, show that what it writes is complete and that the
+# constructors refuse inexact JSON-shaped input
+
+def _weight_from_json(data):
+    return Weight(data["h"], data["hbar"])
+
+
+def _character_from_json(data):
+    # JSON object keys are strings: read them exactly, and leave the
+    # integer and range checks to Character
+    return Character(_weight_from_json(data["top"]), data["depth"],
+                     {exact_rat(d, "depth"): m
+                      for d, m in data["dims"].items()})
+
+
+def _module_from_json(data):
+    dims = data["dims"]
+    actions = {}
+    for name, blocks in data["actions"].items():
+        g = GEN_NAMES.index(name)
+        for block in blocks:
+            n = block["from_depth"]
+            mat = Mat.zeros(dims[n + DEPTH_SHIFT[g]], dims[n])
+            for r, c, a in block["entries"]:
+                mat.rows[r][c] = Fraction(a)
+            actions.setdefault(g, {})[n] = mat
+    return TruncatedModule(_weight_from_json(data["top"]), data["depth"],
+                           dims, actions, complete=data["complete"])
+
+
+def _character_json(**changes):
+    data = {"top": {"h": "1", "hbar": "0"}, "depth": 3,
+            "dims": {"0": 1, "1": 2}}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_character_json(depth=2.7), "depth must be an integer, got 2.7"),
+    (_character_json(dims={"0": 1.5}), "dimension must be an integer, "
+                                       "got 1.5"),
+    (_character_json(dims={"1.5": 1}), "depth must be an integer"),
+    (_character_json(top={"h": 0.1, "hbar": "0"}),
+     "h must be an exact rational"),
+    (_character_json(depth=-3), "depth must be >= 0, got -3"),
+    (_character_json(dims={"4": 1}), r"depths \[4\] lie outside"),
+])
+def test_character_from_json_rejects_floats_and_non_integers(data, message):
+    with pytest.raises(ValueError, match=message):
+        _character_from_json(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"h": 0.1, "hbar": "0"}, "h must be an exact rational .* got 0.1"),
+    ({"h": "1", "hbar": 0.5}, "hbar must be an exact rational .* got 0.5"),
+    ({"h": "1", "hbar": "one"}, "hbar must be an exact rational"),
+    ({"h": None, "hbar": "0"}, "h must be an exact rational"),
+])
+def test_weight_from_json_rejects_floats(data, message):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match=message):
+        _weight_from_json(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    (_character_json(depth=True), "depth must be an integer, got True"),
+    (_character_json(dims={"0": True}),
+     "dimension must be an integer, got True"),
+    (_character_json(dims={"1/0": 1}),
+     "depth must be an exact rational .* got '1/0'"),
+    (_character_json(top={"h": "1", "hbar": "2/0"}),
+     "hbar must be an exact rational .* got '2/0'"),
+])
+def test_character_from_json_refuses_booleans_and_zero_denominators(
+        data, message):
+    with pytest.raises(ValueError, match=message):
+        _character_from_json(data)
+
+
+def test_weight_from_json_reads_exact_numbers():
+    assert _weight_from_json({"h": "-3/4", "hbar": 2}) == \
+        Weight(Fraction(-3, 4), 2)
+
+
+def test_module_json_roundtrip():
+    for lam in (Weight(2, 0), Weight(Fraction(1, 2), Fraction(-3, 4))):
+        m = verma(lam, 3)
+        again = _module_from_json(module_to_json(m))
+        assert again == m
+        s = simple_module(Weight(2, 0), 4)
+        assert _module_from_json(module_to_json(s)) == s
+    assert _character_from_json(character(m).to_json()) == character(m)
