@@ -50,9 +50,8 @@ from math import comb
 __all__ = [
     "F", "FBAR", "H", "HBAR", "E", "EBAR", "GENERATORS", "GEN_NAMES",
     "GEN_BY_NAME", "BAR_DEGREE", "DEPTH_SHIFT",
-    "lie_bracket", "EnvelopingElement", "element",
-    "straighten_word", "casimir",
-    "exponents_to_word", "word_to_exponents",
+    "lie_bracket", "EnvelopingElement", "straighten_word", "casimir",
+    "exponents_to_word",
 ]
 
 F, FBAR, H, HBAR, E, EBAR = range(6)
@@ -159,21 +158,6 @@ def lie_bracket(a, b):
 # ---------------------------------------------------------------------------
 # straightening
 
-def word_to_exponents(word):
-    """Exponent 6-tuple of a sorted word.  Raises ValueError naming the first
-    entry that is not a generator id, or the word if it is not sorted."""
-    word = tuple(word)
-    _check_letters(word, "word")
-    exps = [0] * 6
-    prev = -1
-    for g in word:
-        if g < prev:
-            raise ValueError("word is not in PBW order: %r" % (word,))
-        exps[g] += 1
-        prev = g
-    return tuple(exps)
-
-
 def exponents_to_word(exps):
     """The sorted word of an exponent 6-tuple.  Raises ValueError unless
     there are six entries, naming the first that is not a non-negative
@@ -224,9 +208,10 @@ def _gen_times_word(g, exps):
 
 def straighten_word(word, coefficient=Fraction(1)):
     """PBW normal form of a single word (tuple of generator ids), times
-    ``coefficient``.  The word is straightened over the integers and scaled
-    by the coefficient once at the end, so every coefficient of the result
-    is a Fraction.
+    ``coefficient``, an exact rational as exact_rat reads one (a float or a
+    bool raises ValueError).  The word is straightened over the integers
+    and scaled by the coefficient once at the end, so every coefficient of
+    the result is a Fraction.
 
     >>> sorted(straighten_word((E, FBAR, FBAR)).items())
     [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
@@ -249,7 +234,8 @@ def straighten_word(word, coefficient=Fraction(1)):
             for w2, c2 in _gen_times_word(g, w):
                 nxt[w2] = nxt.get(w2, 0) + c * c2
         terms = {w: c for w, c in nxt.items() if c}
-    coefficient = Fraction(coefficient)
+    if type(coefficient) is not Fraction:
+        coefficient = exact_rat(coefficient, "coefficient")
     out = EnvelopingElement()
     if coefficient == 1:
         # dict.update adopts the nonzero Fractions without coercing again
@@ -264,6 +250,8 @@ def straighten_word(word, coefficient=Fraction(1)):
 
 class EnvelopingElement(dict):
     """A PBW-normal element: {exponent 6-tuple: Fraction}, zeros dropped.
+    Coefficients are read by exact_rat, so a float or a bool raises
+    ValueError.
 
     Supports +, - and the associative product * of two elements (products
     are re-straightened).  Instances compare equal as plain dicts, so the zero
@@ -274,7 +262,8 @@ class EnvelopingElement(dict):
         super().__init__()
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, coef in items:
-            coef = Fraction(coef)
+            if type(coef) is not Fraction:
+                coef = exact_rat(coef, "coefficient")
             if coef != 0:
                 self[tuple(exps)] = coef
 
@@ -327,15 +316,6 @@ class EnvelopingElement(dict):
     def to_json(self):
         return {"terms": [{"exp": list(exps), "coef": str(coef)}
                           for exps, coef in sorted(self.items())]}
-
-
-def element(*words_and_coefs):
-    """The sum of the (word, coefficient) pairs, straightened:
-    element((word, coef), ...)."""
-    out = EnvelopingElement()
-    for word, coef in words_and_coefs:
-        out = out + straighten_word(word, coef)
-    return out
 
 
 def casimir():

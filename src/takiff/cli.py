@@ -13,9 +13,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (GEN_BY_NAME, GEN_NAMES, EnvelopingElement, casimir,
-                      element, lie_bracket, straighten_word,
-                      word_to_exponents)
+from .algebra import (GEN_BY_NAME, GEN_NAMES, GENERATORS, EnvelopingElement,
+                      casimir, lie_bracket, straighten_word)
 from .modules import (Weight, character, check_relations, module_to_json,
                       simple_module, verma)
 from .structure import (hasse_diagram, mn_filtration, multiplicities,
@@ -70,8 +69,9 @@ def _parse_word(tokens):
     return tuple(word)
 
 
-def _weight(args):
-    return Weight(args.h, args.hbar)
+def _weight(args, prefix=""):
+    """The weight of the options --<prefix>h and --<prefix>hbar."""
+    return Weight(getattr(args, prefix + "h"), getattr(args, prefix + "hbar"))
 
 
 def _dump(data):
@@ -92,7 +92,7 @@ def _print_character(ch):
 
 def cmd_bracket(args):
     result = lie_bracket(args.x, args.y)
-    elt = EnvelopingElement({word_to_exponents((g,)): c
+    elt = EnvelopingElement({tuple(int(x == g) for x in GENERATORS): c
                              for g, c in result.items()})
     print("[%s, %s] = %s" % (GEN_NAMES[args.x], GEN_NAMES[args.y], elt))
     return 0
@@ -113,7 +113,7 @@ def cmd_casimir_check(args):
     print("casimir element:", c)
     bad = []
     for g, name in enumerate(GEN_NAMES):
-        x = element(((g,), 1))
+        x = straighten_word((g,))
         comm = c * x - x * c
         if comm:
             bad.append(name)
@@ -173,7 +173,7 @@ def cmd_multiplicities(args):
 
 def cmd_singular(args):
     lam = _weight(args)
-    mu = Weight(args.mu_h, args.mu_hbar)
+    mu = _weight(args, "mu_")
     mod = _build(args)
     vecs = singular_vectors(mod, mu)
     if args.format == "json":
@@ -189,7 +189,7 @@ def cmd_singular(args):
 
 
 def cmd_filtration(args):
-    fr = mn_filtration(Weight(args.n, 0), depth=args.depth)
+    fr = mn_filtration(Weight(args.n, 0))
     if args.format == "json":
         _dump({"top": fr.top.to_json(), "n": fr.n, "depth": fr.depth,
                "trusted_depth": fr.trusted_depth,
@@ -208,7 +208,7 @@ def cmd_filtration(args):
 
 
 def cmd_hasse(args):
-    hd = hasse_diagram(Weight(args.n, 0), offsets=args.offsets)
+    hd = hasse_diagram(Weight(args.n, 0))
     if args.format == "json":
         _dump(hd.to_json())
     elif args.format == "dot":
@@ -235,7 +235,7 @@ def cmd_block(args):
 
 def cmd_ext(args):
     lam = _weight(args)
-    mu = Weight(args.mu_h, args.mu_hbar)
+    mu = _weight(args, "mu_")
     if args.window is not None:
         res = ext1(lam, mu, args.cat, window=args.window,
                    with_cocycles=args.cocycles)
@@ -282,10 +282,15 @@ def cmd_paper_check(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_weight_options(p, help_noun="top weight"):
-    p.add_argument("--h", dest="h", type=_rational, required=True,
-                   metavar="P/Q", help="h-value of the %s" % help_noun)
-    p.add_argument("--hbar", dest="hbar", type=_rational,
+def _add_weight_options(p, help_noun="top weight", prefix=""):
+    """The options --<prefix>h and --<prefix>hbar of one weight, read back
+    by _weight(args, prefix); an underscore in prefix is a dash in the
+    option name."""
+    flag = "--" + prefix.replace("_", "-")
+    p.add_argument(flag + "h", dest=prefix + "h", type=_rational,
+                   required=True, metavar="P/Q",
+                   help="h-value of the %s" % help_noun)
+    p.add_argument(flag + "hbar", dest=prefix + "hbar", type=_rational,
                    default=Fraction(0), metavar="P/Q",
                    help="hbar-value of the %s (default 0)" % help_noun)
 
@@ -350,10 +355,7 @@ def build_parser():
                        help="basis of the singular vectors at a weight "
                             "inside a module window")
     _add_weight_options(p)
-    p.add_argument("--mu-h", dest="mu_h", type=_rational, required=True,
-                   metavar="P/Q")
-    p.add_argument("--mu-hbar", dest="mu_hbar", type=_rational,
-                   default=Fraction(0), metavar="P/Q")
+    _add_weight_options(p, "weight mu", "mu_")
     p.add_argument("--depth", type=int, default=6, metavar="N")
     p.add_argument("--module", choices=("verma", "simple"), default="verma")
     p.add_argument("--format", choices=("table", "json"), default="table")
@@ -363,15 +365,13 @@ def build_parser():
                        help="uniserial filtration of Verma(n)/<f^(n+1) v>")
     p.add_argument("--n", type=int, required=True,
                    help="nonnegative integer top weight")
-    p.add_argument("--depth", type=int, default=None, metavar="N")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_filtration)
 
     p = sub.add_parser("hasse",
-                       help="submodule diagram of Verma(n) for even n >= 0")
+                       help="submodule diagram of Verma(n) for an integer "
+                            "n >= 0")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--offsets", type=int, default=None,
-                   help="how many extra depths beyond n/2 + 2 to include")
     p.add_argument("--format", choices=("table", "dot", "json"),
                    default="dot")
     p.set_defaults(fn=cmd_hasse)
@@ -384,11 +384,8 @@ def build_parser():
     p = sub.add_parser("ext",
                        help="dim Ext^1 between two simples, stabilized "
                             "over three windows unless --window is given")
-    _add_weight_options(p)
-    p.add_argument("--mu-h", dest="mu_h", type=_rational, required=True,
-                   metavar="P/Q")
-    p.add_argument("--mu-hbar", dest="mu_hbar", type=_rational,
-                   default=Fraction(0), metavar="P/Q")
+    _add_weight_options(p, "weight lambda")
+    _add_weight_options(p, "weight mu", "mu_")
     p.add_argument("--cat", choices=("O", "Otilde"), default="O")
     p.add_argument("--window", type=int, default=None, metavar="N")
     p.add_argument("--cocycles", action="store_true",

@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import ceil
 from time import perf_counter
 
-from .algebra import (GENERATORS, GEN_NAMES, HBAR, lie_bracket, element,
-                      casimir)
+from .algebra import (GENERATORS, GEN_NAMES, HBAR, casimir, lie_bracket,
+                      straighten_word)
 from .modules import (Weight, verma, character, dualize, casimir_scalar,
                       casimir_action)
 from .structure import (singular_vectors, multiplicities, mn_filtration,
@@ -156,7 +156,7 @@ def check_casimir_central():
     """The quadratic element commutes with every generator in the envelope."""
     c = casimir()
     for g in GENERATORS:
-        gelt = element(((g,), 1))
+        gelt = straighten_word((g,))
         if c * gelt - gelt * c:
             return False, "casimir does not commute with %s" % GEN_NAMES[g]
     return True, "commutes with all 6 generators"

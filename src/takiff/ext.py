@@ -138,6 +138,10 @@ class ExtResult:
     cocycles: list = field(default_factory=list)  # {gen name: {depth: Mat}}
     note: str = ""
 
+    def __post_init__(self):
+        # a weight may be given as a Weight or an (h, hbar) pair
+        self.lam, self.mu = Weight.of(self.lam), Weight.of(self.mu)
+
     def to_json(self):
         cocycles = []
         for phi in self.cocycles:

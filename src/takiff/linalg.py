@@ -4,9 +4,10 @@ Every entry of a Mat is a fractions.Fraction, never an int.  The public
 Mat constructor coerces what it is given, and the results of Mat
 operations are built from Fractions already, so they are adopted without
 coercion.  No result shares a row list with an operand, so callers may
-write into ``mat.rows[r][c]``.  RowSpace takes ints, Fractions and
-floats, each converted exactly, and SparseSystem.add_row takes ints only.
-The reduced rows, kernel vectors and reduced vectors they hand back are
+write into ``mat.rows[r][c]``.  The Mat constructor and RowSpace take
+ints, Fractions and 'p/q' strings, read by algebra.exact_rat, so a float
+or a bool raises ValueError; SparseSystem.add_row takes ints only.  The
+reduced rows, kernel vectors and reduced vectors they hand back are
 Fractions whatever they were given.
 
 The dense kernel skips zeros: sums, differences, scalar and matrix products
@@ -57,6 +58,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
+from .algebra import exact_rat
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -72,7 +75,8 @@ class Mat:
         if rows is None:
             self.rows = [[_ZERO] * ncols for _ in range(nrows)]
         else:
-            self.rows = [[x if type(x) is Fraction else Fraction(x)
+            self.rows = [[x if type(x) is Fraction
+                          else exact_rat(x, "matrix entry")
                           for x in r] for r in rows]
             if len(self.rows) != nrows or any(len(r) != ncols
                                                for r in self.rows):
@@ -265,10 +269,10 @@ def solve_columns(A, B):
 def _integer_vector(values):
     """The values times the least common denominator of those that are not
     ints, as a list of ints: a positive multiple of them.  An int is kept as
-    it is, a Fraction or float converted exactly (a float as the binary
-    fraction it stores), and a list of ints comes back as a copy."""
-    v = [x if type(x) is int or type(x) is Fraction else Fraction(x)
-         for x in values]
+    it is, anything else read by algebra.exact_rat (so a float or a bool
+    raises ValueError), and a list of ints comes back as a copy."""
+    v = [x if type(x) is int or type(x) is Fraction
+         else exact_rat(x, "vector entry") for x in values]
     dens = [x.denominator for x in v if type(x) is not int]
     if not dens:
         return v
@@ -325,8 +329,8 @@ class RowSpace:
         return w
 
     def add(self, vec):
-        """Insert a vector of ints, Fractions or floats; returns True if it
-        enlarged the space."""
+        """Insert a vector of exact rationals (see _integer_vector);
+        returns True if it enlarged the space."""
         return self._add_integer(self._integers(vec))
 
     def _add_integer(self, vec):

@@ -80,14 +80,15 @@ class Weight:
 @dataclass
 class Character:
     """Depth -> dimension, anchored at a top weight (depth d has h-value
-    top.h - 2d).  ``depth`` records the truncation window; dims omit zeros.
-    A negative depth, or a nonzero dimension at a depth outside
-    0..depth, raises ValueError."""
+    top.h - 2d), given as a Weight or an (h, hbar) pair.  ``depth``
+    records the truncation window; dims omit zeros.  A negative depth, or
+    a nonzero dimension at a depth outside 0..depth, raises ValueError."""
     top: Weight
     depth: int
     dims: dict
 
     def __post_init__(self):
+        self.top = Weight.of(self.top)
         self.depth = exact_int(self.depth, "depth")
         self.dims = {exact_int(d, "depth"): exact_int(m, "dimension")
                      for d, m in self.dims.items() if m}

@@ -305,7 +305,7 @@ class FiltrationResult:
     certificate: dict = field(default_factory=dict)
 
 
-def mn_filtration(top, depth=None):
+def mn_filtration(top):
     """Filtration certificate for M_n = Delta(top) / <f^(n+1) v>.
 
     ``top`` must be integral dominant: top(hbar) = 0 and top(h) = n a
@@ -314,17 +314,15 @@ def mn_filtration(top, depth=None):
     highest weight top - i*alpha; this function builds the chain
     X_i = image of <fbar^i v> and certifies both the layer characters and
     uniseriality (each successive quotient has exactly one singular line
-    generating a character-simple submodule).
+    generating a character-simple submodule).  The window has depth
+    n + _GUARD + 3, and the layers are trusted through depth n + 3.
     """
     top = Weight.of(top)
     if not top.is_integral_dominant():
         raise ValueError("top weight must have hbar-value 0 and h-value a "
                          "nonnegative integer, got %s" % (top,))
     n = int(top.h)
-    depth = n + _GUARD + 3 if depth is None else exact_int(depth, "depth")
-    if depth < n + 1 + _GUARD:
-        raise ValueError("window %d too small: need at least %d"
-                         % (depth, n + 1 + _GUARD))
+    depth = n + _GUARD + 3
     trusted = depth - _GUARD
     k = ceil((n + 1) / 2)
     delta = verma(top, depth)
@@ -421,16 +419,16 @@ class SubmodulePoset:
         return "\n".join(lines) + "\n"
 
 
-def hasse_diagram(top, offsets=None):
+def hasse_diagram(top):
     """Hasse diagram of the embedded Vermas and the kernels K_m inside the
     integral dominant Verma module Delta(top), computed by explicit
     generation and pairwise span comparison inside the window.
 
-    Nodes: V_i = submodule generated by fbar^i v (an embedded Verma of
-    highest weight top - i*alpha), for i = 0..offsets; and K_m = submodule
-    generated by f^(m+1) fbar^((n-m)/2) v for m = n, n-2, ..., n-2*floor(n/2)
-    (the kernels of the maps onto the uniserial quotients), in the window
-    of depth n + offsets + 3.  offsets < 0 raises ValueError.
+    With n = top(h) and k = floor(n/2), the nodes are V_i = submodule
+    generated by fbar^i v (an embedded Verma of highest weight
+    top - i*alpha), for i = 0..k+2; and K_m = submodule generated by
+    f^(m+1) fbar^((n-m)/2) v for m = n, n-2, ..., n-2k (the kernels of the
+    maps onto the uniserial quotients), in the window of depth n + k + 5.
     """
     top = Weight.of(top)
     if not top.is_integral_dominant():
@@ -438,10 +436,7 @@ def hasse_diagram(top, offsets=None):
                          "nonnegative integer, got %s" % (top,))
     n = int(top.h)
     k = n // 2  # deepest i with K_{n-2i} distinct
-    offsets = k + 2 if offsets is None else exact_int(offsets, "offsets")
-    if offsets < 0:
-        raise ValueError("offsets must be >= 0, got %d" % offsets)
-    depth = n + offsets + 3
+    depth = n + k + 5
     delta = verma(top, depth)
     delta_acts = _integer_blocks(delta)
 
@@ -453,7 +448,7 @@ def hasse_diagram(top, offsets=None):
         return _closure(delta, [(d, vec)], delta_acts)
 
     mods = {}  # label -> (kind, generator depth, RowSpaces of the slices)
-    for i in range(offsets + 1):
+    for i in range(k + 3):
         mods["V%d" % i] = ("verma", i, generated(i, i))
     for i in range(k + 1):
         m = n - 2 * i

@@ -221,13 +221,6 @@ def test_outputs_match_the_golden_file(capsys):
     assert differing == []
 
 
-def test_hasse_rejects_negative_offsets(capsys):
-    code, out, err = run(capsys, "hasse", "--n", "4", "--offsets", "-3")
-    assert code == 1
-    assert out == ""
-    assert "offsets must be >= 0, got -3" in err
-
-
 def test_ext_depth_cap_failure(capsys, monkeypatch):
     # windows that report dims 1, 2: the three-window cap stops the
     # stabilized ext at the second, and main reports it

@@ -16,8 +16,10 @@ from takiff import ext as ext_mod
 from takiff.algebra import DEPTH_SHIFT, GENERATORS, GEN_NAMES, H, HBAR
 from takiff.cli import main
 from takiff.linalg import Mat, SparseSystem
-from takiff.modules import (TruncatedModule, Weight, _integer_blocks,
-                            category_check, check_relations)
+from takiff.modules import (Character, TruncatedModule, Weight,
+                            _integer_blocks, category_check, check_relations,
+                            module_to_json)
+from takiff.structure import multiplicities
 from takiff.ext import (Block, ExtResult, StabilizationError,
                         assemble_extension, block_of, ext1, quiver,
                         same_block, stabilize_ext)
@@ -792,6 +794,28 @@ def test_ext_result_json():
     assert data["lambda"] == {"h": "0", "hbar": "0"}
     assert data["stabilized"] is True
     assert isinstance(data["cocycles"], list) and data["cocycles"]
+
+
+def _verma_character(top):
+    return Character(top, 6, {d: d + 1 for d in range(7)})
+
+
+def _assembled(lam, mu):
+    phi = ext1(Weight(0, 0), Weight(-2, 0), "O", window=4).cocycles
+    return module_to_json(assemble_extension(
+        ExtResult(lam, mu, "O", 4, len(phi), cocycles=phi)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam, mu: _verma_character(lam).to_json(),
+    lambda lam, mu: multiplicities(_verma_character(lam)).to_json(),
+    lambda lam, mu: ExtResult(lam, mu, "O", 4, 0).to_json(),
+    _assembled,
+], ids=["Character", "multiplicities", "ExtResult", "assemble_extension"])
+def test_result_weights_may_be_pairs(call):
+    # an (h, hbar) pair used to stay a tuple, and to_json, multiplicities
+    # and assemble_extension raised AttributeError on it
+    assert call((0, 0), (-2, 0)) == call(Weight(0, 0), Weight(-2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from takiff.algebra import E, EnvelopingElement, straighten_word
 from takiff.linalg import (Mat, RowSpace, SparseSystem, integer_product_sum,
                            kernel_basis, rref, solve_columns)
+from takiff.modules import verma
+from takiff.structure import submodule
 
 
 def M(rows):
@@ -136,17 +139,42 @@ def test_rowspace_add_reports_growth():
     assert not rs.add([Fraction(2), Fraction(2)])
 
 
+_SCALAR_ENTRIES = {
+    "straighten_word": lambda x: straighten_word((E,), x),
+    "EnvelopingElement": lambda x: EnvelopingElement({(0, 0, 0, 0, 1, 0): x}),
+    "Mat": lambda x: Mat(1, 1, [[x]]).rows[0][0],
+    "RowSpace.add": lambda x: RowSpace(2).add([x, 1]),
+    "submodule": lambda x: submodule(verma((2, 0), 2), [(1, [x, 1])]).dims,
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRIES))
+def test_scalar_entries_refuse_floats_and_booleans(entry, bad):
+    # 0.1 used to become its binary fraction 3602879701896397/2^55, and
+    # True the number 1; ints, Fractions and 'p/q' strings stay exact
+    call = _SCALAR_ENTRIES[entry]
+    with pytest.raises(ValueError, match="got %r" % bad):
+        call(bad)
+    assert call(Fraction(1, 10)) == call("1/10")
+    assert call(1) == call(Fraction(1)) == call("1")
+
+
 def test_rowspace_keeps_int_and_float_input_exact():
+    # ints and 'p/q' strings are read exactly; a float is refused, so no
+    # binary fraction enters the space
     rs = RowSpace(3)
     assert rs.add([2, 1, 0])
-    assert rs.add([0.0, 0.5, 1.5])
+    with pytest.raises(ValueError, match="got 0.5"):
+        rs.add([0, 0.5, Fraction(3, 2)])
+    assert rs.add([0, "1/2", Fraction(3, 2)])
     assert rs.rows == [[1, 0, Fraction(-3, 2)], [0, 1, 3]]
     assert all(type(x) is Fraction for row in rs.rows for x in row)
     # each read builds new rows: writing into one leaves the space as it was
     rs.rows[0][2] = 5
     rs.rows[1][0] = 5
     assert rs.rows == [[1, 0, Fraction(-3, 2)], [0, 1, 3]]
-    assert rs.contains([4, 2.5, 1.5]) and not rs.contains([0, 0, 1])
+    assert rs.contains([4, "5/2", "3/2"]) and not rs.contains([0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +660,17 @@ def test_dense_kernel_matches_naive_reference():
 
 
 def _as_input(rng, row):
-    """The rational row as ints, Fractions or floats where each is exact:
-    a float only for a dyadic entry, an int only for an integral one."""
-    kind = rng.choice(["int", "fraction", "float", "mixed"])
+    """The rational row as ints, Fractions or 'p/q' strings: an int only
+    for an integral entry."""
+    kind = rng.choice(["int", "fraction", "string", "mixed"])
     out = []
     for x in row:
         k = kind if kind != "mixed" else rng.choice(["int", "fraction",
-                                                     "float"])
+                                                     "string"])
         if k == "int" and x.denominator == 1:
             out.append(int(x))
-        elif (k == "float" and x.denominator & (x.denominator - 1) == 0
-              and abs(x.numerator) < 2 ** 50):
-            out.append(x.numerator / x.denominator)
+        elif k == "string":
+            out.append(str(x))
         else:
             out.append(x)
     return out
@@ -659,7 +686,7 @@ def _cleared(row):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_integer_rowspace_matches_naive_reference(seed):
-    # both entry points, large coefficients and ints, Fractions and floats:
+    # both entry points, large coefficients and ints, Fractions and strings:
     # after every insertion the Fraction RREF, the pivots and membership
     # equal the naive Gauss-Jordan's
     rng = random.Random(seed)

@@ -249,6 +249,7 @@ def test_peeling_rejects_non_characters():
 def test_mn_filtration_small():
     for n in range(5):
         fr = mn_filtration(Weight(n, 0))
+        assert (fr.depth, fr.trusted_depth) == (n + 5, n + 3)
         assert fr.uniserial
         assert len(fr.layers) == ceil((n + 1) / 2)
         for i, ch in enumerate(fr.layers):
@@ -262,29 +263,27 @@ def test_mn_filtration_rejects_bad_tops():
         mn_filtration(Weight(Fraction(1, 2), 0))
     with pytest.raises(ValueError):
         mn_filtration(Weight(2, 1))
-    with pytest.raises(ValueError):
-        mn_filtration(Weight(3, 0), depth=3)  # window too small
-    with pytest.raises(ValueError, match="depth must be an integer, got 10.5"):
-        mn_filtration(Weight(2, 0), depth=10.5)
-    assert mn_filtration(Weight(2, 0), depth=Fraction(10)) == \
-        mn_filtration(Weight(2, 0), depth=10)
 
 
 # ---------------------------------------------------------------------------
 # submodule diagrams
 
 def test_hasse_chains_for_small_n():
+    # the window has depth n + floor(n/2) + 5
     hd0 = hasse_diagram(Weight(0, 0))
+    assert hd0.depth == 5
     assert [x[0] for x in hd0.nodes] == ["V0", "V1", "V2", "K0"]
     assert hd0.edges == [("K0", "V1"), ("V0", "K0"), ("V1", "V2")]
 
     hd1 = hasse_diagram(Weight(1, 0))
+    assert hd1.depth == 6
     assert [x[0] for x in hd1.nodes] == ["V0", "V1", "V2", "K1"]
     assert hd1.edges == [("K1", "V1"), ("V0", "K1"), ("V1", "V2")]
 
 
 def test_hasse_n2():
     hd = hasse_diagram(Weight(2, 0))
+    assert hd.depth == 8
     assert sorted(x[0] for x in hd.nodes) == ["K0", "K2", "V0", "V1",
                                               "V2", "V3"]
     assert hd.edges == [("K0", "V2"), ("K2", "K0"), ("V0", "K2"),
@@ -294,16 +293,6 @@ def test_hasse_n2():
 def test_hasse_n4_frozen():
     hd = hasse_diagram(Weight(4, 0))
     assert sorted(hd.edges) == sorted(HASSE_N4_EDGES)
-
-
-@pytest.mark.parametrize("offsets, message", [
-    (-3, "offsets must be >= 0, got -3"),
-    (1.5, "offsets must be an integer, got 1.5"),
-])
-def test_hasse_rejects_bad_offsets(offsets, message):
-    # negative offsets silently dropped every V node
-    with pytest.raises(ValueError, match=message):
-        hasse_diagram(Weight(4, 0), offsets=offsets)
 
 
 def test_hasse_dot_mentions_every_node():
