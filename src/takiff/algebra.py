@@ -14,8 +14,13 @@ All scalars are exact rationals and no floats appear anywhere.  Every public
 result carries fractions.Fraction coefficients.  Inside, the straightening
 kernel works in Python ints: the structure constants are the integers 0, +-1
 and +-2, so the normal form of a word is an integer combination of sorted
-words, and straighten_word multiplies by its rational coefficient only once,
-where it builds the result.
+words.  straighten_word turns it into Fractions only where it builds the
+result, and the product of two elements scales the integer normal form of
+each pair of monomials by the product of their coefficients.
+
+Each entry takes one form: straighten_word a word of generator ids (ints
+0..5, not bools), and EnvelopingElement a dict whose keys are exponent
+6-tuples of non-negative ints, checked where the element is made.
 
 PBW conventions
 ---------------
@@ -51,7 +56,6 @@ __all__ = [
     "F", "FBAR", "H", "HBAR", "E", "EBAR", "GENERATORS", "GEN_NAMES",
     "GEN_BY_NAME", "BAR_DEGREE", "DEPTH_SHIFT",
     "lie_bracket", "EnvelopingElement", "straighten_word", "casimir",
-    "exponents_to_word",
 ]
 
 F, FBAR, H, HBAR, E, EBAR = range(6)
@@ -159,21 +163,9 @@ def lie_bracket(a, b):
 # straightening
 
 def exponents_to_word(exps):
-    """The sorted word of an exponent 6-tuple.  Raises ValueError unless
-    there are six entries, naming the first that is not a non-negative
-    int."""
-    exps = tuple(exps)
-    if len(exps) != 6:
-        raise ValueError("exponent vector %r has %d entries, not 6"
-                         % (exps, len(exps)))
-    for g, k in enumerate(exps):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent vector %r: entry %d is %r, not a "
-                             "non-negative int" % (exps, g, k))
-    word = ()
-    for g in GENERATORS:
-        word += (g,) * exps[g]
-    return word
+    """The sorted word of an exponent 6-tuple, which is not checked: the
+    keys of an EnvelopingElement were checked when it was made."""
+    return tuple(g for g, k in enumerate(exps) for _ in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -206,18 +198,9 @@ def _gen_times_word(g, exps):
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
-def straighten_word(word, coefficient=Fraction(1)):
-    """PBW normal form of a single word (tuple of generator ids), times
-    ``coefficient``, an exact rational as exact_rat reads one (a float or a
-    bool raises ValueError).  The word is straightened over the integers
-    and scaled by the coefficient once at the end, so every coefficient of
-    the result is a Fraction.
-
-    >>> sorted(straighten_word((E, FBAR, FBAR)).items())
-    [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
-    """
-    word = tuple(word)
-    _check_letters(word, "word")
+def _normal_form(word):
+    """PBW normal form of a tuple of generator ids that are known to be
+    valid, as {exponent tuple: nonzero int}."""
     # the longest sorted suffix is its own normal form, so straightening
     # starts from it and pushes in only the letters before it; its letters
     # are checked and sorted, so counting them gives its exponents
@@ -234,14 +217,23 @@ def straighten_word(word, coefficient=Fraction(1)):
             for w2, c2 in _gen_times_word(g, w):
                 nxt[w2] = nxt.get(w2, 0) + c * c2
         terms = {w: c for w, c in nxt.items() if c}
-    if type(coefficient) is not Fraction:
-        coefficient = exact_rat(coefficient, "coefficient")
-    out = EnvelopingElement()
-    if coefficient == 1:
-        # dict.update adopts the nonzero Fractions without coercing again
-        out.update((w, Fraction(c)) for w, c in terms.items())
-    elif coefficient:
-        out.update((w, coefficient * c) for w, c in terms.items())
+    return terms
+
+
+def straighten_word(word):
+    """PBW normal form of a single word (tuple of generator ids).  A letter
+    that is not a generator id raises ValueError naming it.  The word is
+    straightened over the integers, and every coefficient of the result is
+    a Fraction.
+
+    >>> sorted(straighten_word((E, FBAR, FBAR)).items())
+    [((0, 1, 0, 1, 0, 0), Fraction(2, 1)), ((0, 2, 0, 0, 1, 0), Fraction(1, 1))]
+    """
+    word = tuple(word)
+    _check_letters(word, "word")
+    out = EnvelopingElement({})
+    # dict.update adopts the nonzero Fractions without checking them again
+    out.update((w, Fraction(c)) for w, c in _normal_form(word).items())
     return out
 
 
@@ -250,22 +242,35 @@ def straighten_word(word, coefficient=Fraction(1)):
 
 class EnvelopingElement(dict):
     """A PBW-normal element: {exponent 6-tuple: Fraction}, zeros dropped.
-    Coefficients are read by exact_rat, so a float or a bool raises
-    ValueError.
+
+    Made from a dict only (anything else raises TypeError).  Each key must
+    be six non-negative ints (a bool is not one), or ValueError names the
+    bad entry, and each coefficient is read by exact_rat, so a float or a
+    bool raises ValueError.
 
     Supports +, - and the associative product * of two elements (products
     are re-straightened).  Instances compare equal as plain dicts, so the zero
     element is the empty dict.
     """
 
-    def __init__(self, terms=()):
+    def __init__(self, terms):
         super().__init__()
-        items = terms.items() if isinstance(terms, dict) else terms
-        for exps, coef in items:
+        if not isinstance(terms, dict):
+            raise TypeError("EnvelopingElement takes a dict, got %s"
+                            % type(terms).__name__)
+        for exps, coef in terms.items():
+            exps = tuple(exps)
+            if len(exps) != 6:
+                raise ValueError("exponent vector %r has %d entries, not 6"
+                                 % (exps, len(exps)))
+            for g, k in enumerate(exps):
+                if type(k) is not int or k < 0:
+                    raise ValueError("exponent vector %r: entry %d is %r, "
+                                     "not a non-negative int" % (exps, g, k))
             if type(coef) is not Fraction:
                 coef = exact_rat(coef, "coefficient")
             if coef != 0:
-                self[tuple(exps)] = coef
+                self[exps] = coef
 
     # -- ring structure ----------------------------------------------------
 
@@ -286,12 +291,17 @@ class EnvelopingElement(dict):
         return self + (-EnvelopingElement(other))
 
     def __mul__(self, other):
-        out = EnvelopingElement({})
+        if not isinstance(other, EnvelopingElement):
+            raise TypeError("EnvelopingElement * %s: the operand must be an "
+                            "EnvelopingElement" % type(other).__name__)
+        acc = {}
         for e1, c1 in self.items():
             w1 = exponents_to_word(e1)
             for e2, c2 in other.items():
-                out = out + straighten_word(w1 + exponents_to_word(e2), c1 * c2)
-        return out
+                c12 = c1 * c2
+                for w, c in _normal_form(w1 + exponents_to_word(e2)).items():
+                    acc[w] = acc.get(w, 0) + c12 * c
+        return EnvelopingElement(acc)
 
     # -- inspection ---------------------------------------------------------
 

@@ -4,17 +4,20 @@ Every entry of a Mat is a fractions.Fraction, never an int.  The public
 Mat constructor coerces what it is given, and the results of Mat
 operations are built from Fractions already, so they are adopted without
 coercion.  No result shares a row list with an operand, so callers may
-write into ``mat.rows[r][c]``.  The Mat constructor and RowSpace take
-ints, Fractions and 'p/q' strings, read by algebra.exact_rat, so a float
-or a bool raises ValueError; SparseSystem.add_row takes ints only.  The
-reduced rows, kernel vectors and reduced vectors they hand back are
-Fractions whatever they were given.
+write into ``mat.rows[r][c]``.  The Mat constructor, Mat.scalar and
+RowSpace take ints, Fractions and 'p/q' strings, read by
+algebra.exact_rat, so a float or a bool raises ValueError;
+SparseSystem.add_row takes ints only.  A width (the ncols of a RowSpace
+or a SparseSystem) is a non-negative int.  The reduced rows, kernel
+vectors and reduced vectors they hand back are Fractions whatever they
+were given.  +, - and * of Mats take two Mats: any other operand raises
+TypeError, so a scalar multiple is a product with Mat.scalar.
 
-The dense kernel skips zeros: sums, differences, scalar and matrix products
-and matvec perform Fraction arithmetic only where both operands are
-nonzero, and an untouched zero stays the zero it was.  The modules here
-are sparse (a depth-20 Verma's action blocks are about 10 % nonzero), so
-this removes most of the arithmetic without changing a single result.
+The dense kernel skips zeros: sums, differences, products and matvec
+perform Fraction arithmetic only where both operands are nonzero, and an
+untouched zero stays the zero it was.  The modules here are sparse (a
+depth-20 Verma's action blocks are about 10 % nonzero), so this removes
+most of the arithmetic without changing a single result.
 
 Three kernels run on Python ints.  integer_product_sum sums products of
 integer matrices in sparse row form, which check_relations runs on once it
@@ -58,7 +61,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import exact_rat
+from .algebra import exact_int, exact_rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -95,11 +98,12 @@ class Mat:
         return m
 
     @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.rows[i][i] = _ONE
-        return m
+    def scalar(cls, n, s):
+        """The n x n matrix s times the identity, s read by exact_rat (so a
+        float or a bool raises ValueError)."""
+        s = exact_rat(s, "scalar")
+        return cls._adopt(n, n, [[s if i == j else _ZERO for j in range(n)]
+                                 for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -109,36 +113,35 @@ class Mat:
         return (isinstance(other, Mat) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.rows == other.rows)
 
-    def _same_shape(self, other, op):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+    def _check_operand(self, other, op):
+        """Raise TypeError unless other is a Mat, and ValueError unless its
+        shape fits: the same shape for + and -, as many rows as self has
+        columns for *."""
+        if not isinstance(other, Mat):
+            raise TypeError("Mat %s %s: the operand must be a Mat"
+                            % (op, type(other).__name__))
+        if (self.ncols != other.nrows if op == "*"
+                else (self.nrows, self.ncols) != (other.nrows, other.ncols)):
             raise ValueError("shape mismatch: %dx%d %s %dx%d"
                              % (self.nrows, self.ncols, op,
                                 other.nrows, other.ncols))
 
     def __add__(self, other):
-        self._same_shape(other, "+")
+        self._check_operand(other, "+")
         return Mat._adopt(self.nrows, self.ncols,
                           [[(a + b if a else b) if b else a
                             for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        self._same_shape(other, "-")
+        self._check_operand(other, "-")
         return Mat._adopt(self.nrows, self.ncols,
                           [[(a - b if a else -b) if b else a
                             for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return Mat._adopt(self.nrows, self.ncols,
-                              [[a * s if a else a for a in r]
-                               for r in self.rows])
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch: %dx%d * %dx%d"
-                             % (self.nrows, self.ncols,
-                                other.nrows, other.ncols))
+        self._check_operand(other, "*")
         nonzeros = [[(j, b) for j, b in enumerate(brow) if b]
                     for brow in other.rows]
         out = []
@@ -266,6 +269,15 @@ def solve_columns(A, B):
     return X
 
 
+def _width(ncols):
+    """ncols as an int, read by algebra.exact_int; a negative width raises
+    ValueError naming it."""
+    ncols = exact_int(ncols, "ncols")
+    if ncols < 0:
+        raise ValueError("ncols must be non-negative, got %d" % ncols)
+    return ncols
+
+
 def _integer_vector(values):
     """The values times the least common denominator of those that are not
     ints, as a list of ints: a positive multiple of them.  An int is kept as
@@ -293,7 +305,7 @@ class RowSpace:
     """
 
     def __init__(self, ncols):
-        self.ncols = ncols
+        self.ncols = _width(ncols)
         self.pivots = []   # pivot columns, increasing
         self._ints = []    # primitive integer rows, one per pivot
 
@@ -409,7 +421,7 @@ class SparseSystem:
     """
 
     def __init__(self, ncols):
-        self.ncols = ncols
+        self.ncols = _width(ncols)
         self.rows = []
         self._eliminated = False
 

@@ -434,8 +434,9 @@ def casimir_action(module, n):
     and the result is exact even at the truncation boundary.
     """
     a = module.act
-    return (a(H, n) * a(HBAR, n) + a(HBAR, n) * 2
-            + a(F, n - 1) * a(EBAR, n) * 2 + a(FBAR, n - 1) * a(E, n) * 2)
+    # Mat products take Mats only, so 2*(hbar + f*ebar + fbar*e) is a sum
+    half = a(HBAR, n) + a(F, n - 1) * a(EBAR, n) + a(FBAR, n - 1) * a(E, n)
+    return a(H, n) * a(HBAR, n) + half + half
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +462,10 @@ def category_check(module, flavor="O"):
     h_test = Mat.is_zero if flavor == "O" else _is_nilpotent
     for n, dim in enumerate(module.dims):
         if dim:
-            w, one = module.top.down(n), Mat.identity(dim)
-            if not (h_test(module.act(H, n) - one * w.h)
-                    and _is_nilpotent(module.act(HBAR, n) - one * w.hbar)):
+            w = module.top.down(n)
+            if not (h_test(module.act(H, n) - Mat.scalar(dim, w.h))
+                    and _is_nilpotent(module.act(HBAR, n)
+                                      - Mat.scalar(dim, w.hbar))):
                 return False
     return True
 

@@ -79,8 +79,8 @@ def singular_vectors(module, mu):
     if dim == 0:
         return []
     stacked = (module.act(E, d).rows + module.act(EBAR, d).rows
-               + (module.act(H, d) - Mat.identity(dim) * mu.h).rows
-               + (module.act(HBAR, d) - Mat.identity(dim) * mu.hbar).rows)
+               + (module.act(H, d) - Mat.scalar(dim, mu.h)).rows
+               + (module.act(HBAR, d) - Mat.scalar(dim, mu.hbar)).rows)
     return kernel_basis(Mat(len(stacked), dim, stacked))
 
 
@@ -305,6 +305,16 @@ class FiltrationResult:
     certificate: dict = field(default_factory=dict)
 
 
+def _dominant_top(top):
+    """(top as a Weight, n = top(h) as an int); raises ValueError unless
+    top is integral dominant: top(hbar) = 0 and top(h) >= 0 an integer."""
+    top = Weight.of(top)
+    if not top.is_integral_dominant():
+        raise ValueError("top weight must have hbar-value 0 and h-value a "
+                         "nonnegative integer, got %s" % (top,))
+    return top, int(top.h)
+
+
 def mn_filtration(top):
     """Filtration certificate for M_n = Delta(top) / <f^(n+1) v>.
 
@@ -317,11 +327,7 @@ def mn_filtration(top):
     generating a character-simple submodule).  The window has depth
     n + _GUARD + 3, and the layers are trusted through depth n + 3.
     """
-    top = Weight.of(top)
-    if not top.is_integral_dominant():
-        raise ValueError("top weight must have hbar-value 0 and h-value a "
-                         "nonnegative integer, got %s" % (top,))
-    n = int(top.h)
+    top, n = _dominant_top(top)
     depth = n + _GUARD + 3
     trusted = depth - _GUARD
     k = ceil((n + 1) / 2)
@@ -430,11 +436,7 @@ def hasse_diagram(top):
     f^(m+1) fbar^((n-m)/2) v for m = n, n-2, ..., n-2k (the kernels of the
     maps onto the uniserial quotients), in the window of depth n + k + 5.
     """
-    top = Weight.of(top)
-    if not top.is_integral_dominant():
-        raise ValueError("top weight must have hbar-value 0 and h-value a "
-                         "nonnegative integer, got %s" % (top,))
-    n = int(top.h)
+    top, n = _dominant_top(top)
     k = n // 2  # deepest i with K_{n-2i} distinct
     depth = n + k + 5
     delta = verma(top, depth)

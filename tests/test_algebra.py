@@ -13,16 +13,20 @@ from takiff.algebra import (E, EBAR, F, FBAR, H, HBAR, BAR_DEGREE,
                             _gen_times_word, casimir, exponents_to_word,
                             lie_bracket, straighten_word)
 
+ONE = (0,) * 6  # the exponents of the constant monomial 1
+
+
 # ad(h)-eigenvalue of each generator, the grading straightening keeps
 H_WEIGHT = (-2, -2, 0, 0, 2, 2)
 
 
 def element(*words_and_coefs):
     """The sum of the (word, coefficient) pairs, straightened."""
-    out = EnvelopingElement()
+    out = {}
     for word, coef in words_and_coefs:
-        out = out + straighten_word(word, coef)
-    return out
+        for exps, c in straighten_word(word).items():
+            out[exps] = out.get(exps, 0) + Fraction(coef) * c
+    return EnvelopingElement(out)
 
 
 def word_to_exponents(word):
@@ -159,10 +163,13 @@ def test_straighten_e2_f2():
 
 
 def test_straighten_respects_coefficient():
-    nf = straighten_word((E, F), Fraction(1, 3))
+    # a coefficient enters as a constant element: the product scales the
+    # integer normal form of each pair of monomials once
+    third = EnvelopingElement({ONE: Fraction(1, 3)})
+    nf = third * straighten_word((E, F))
     assert nf == element(((F, E), Fraction(1, 3)), ((H,), Fraction(1, 3)))
     assert [type(c) for c in nf.values()] == [Fraction, Fraction]
-    assert straighten_word((E, F), 0) == {}
+    assert EnvelopingElement({ONE: 0}) * straighten_word((E, F)) == {}
 
 
 def test_already_ordered_word_is_fixed():
@@ -221,11 +228,26 @@ def test_exponents_and_words_round_trip():
     ((1, 2), "has 2 entries, not 6"),
     ((0, -1, 0, 0, 0, 0), "entry 1 is -1, not a non-negative int"),
     ((0, 0, Fraction(1, 2), 0, 0, 0), "entry 2 is Fraction"),
+    ((1, 0, 0, 0, 0, 0, 0), "has 7 entries, not 6"),
+    ((-1, 0, 0, 0, 0, 0), "entry 0 is -1, not a non-negative int"),
+    ((True, 0, 0, 0, 0, 0), "entry 0 is True, not a non-negative int"),
 ])
-def test_exponents_to_word_rejects_bad_vectors(exps, message):
-    # a seventh entry used to be dropped silently
+def test_element_keys_are_checked(exps, message):
+    # the constructor checks every key: (1, 0, 0, 0, 0, 0, 0) used to print
+    # as f, (-1, 0, 0, 0, 0, 0) to be written as f^-1, and True to read as 1
     with pytest.raises(ValueError, match=re.escape(message)):
-        exponents_to_word(exps)
+        EnvelopingElement({exps: 1})
+
+
+def test_element_takes_one_form():
+    # a dict of terms, and products of two elements; no list of pairs, and
+    # no scalar operand
+    with pytest.raises(TypeError, match="takes a dict, got list"):
+        EnvelopingElement([(ONE, 1)])
+    x = straighten_word((E,))
+    for bad in (2, {ONE: 2}):
+        with pytest.raises(TypeError, match="must be an EnvelopingElement"):
+            x * bad
 
 
 def test_sorted_word_is_not_pushed_through_the_kernel():
@@ -244,11 +266,14 @@ def test_sorted_word_is_not_pushed_through_the_kernel():
 def test_straighten_coefficients_are_fractions(word, coefficient):
     # the kernel runs on ints; none of them may reach a result, where an
     # int that compares equal to the right Fraction would still slip past
-    # an equality test
+    # an equality test.  A product scales the integer normal form itself.
     word = tuple(word)
-    nf = straighten_word(word, coefficient)
+    nf = straighten_word(word)
+    scaled = EnvelopingElement({ONE: coefficient}) * nf
     assert all(type(c) is Fraction for c in nf.values())
-    assert nf == straighten_leftmost(word, coefficient)
+    assert all(type(c) is Fraction for c in scaled.values())
+    assert nf == straighten_leftmost(word)
+    assert scaled == straighten_leftmost(word, coefficient)
 
 
 @settings(max_examples=120, deadline=None)
@@ -280,14 +305,14 @@ def test_element_arithmetic():
     x = element(((E, F), 1))          # straightens on construction
     y = element(((H,), 1))
     assert x - y == element(((F, E), 1))
-    assert (x + (-x)) == EnvelopingElement()
+    assert (x + (-x)) == EnvelopingElement({})
 
 
 def _element_from_json(data):
     # the package only writes elements; reading one back term by term
     # shows that the written form keeps every exponent and coefficient
-    return EnvelopingElement((tuple(t["exp"]), Fraction(t["coef"]))
-                             for t in data["terms"])
+    return EnvelopingElement({tuple(t["exp"]): Fraction(t["coef"])
+                              for t in data["terms"]})
 
 
 def test_element_json_roundtrip():
@@ -307,7 +332,7 @@ def test_element_json_roundtrip_keeps_the_constant_term():
 @pytest.mark.parametrize("call, position", [
     (lambda g: straighten_word((E, g)), 1),
     (lambda g: straighten_word((g,)), 0),
-    (lambda g: straighten_word((F, H, g), 2), 2),
+    (lambda g: straighten_word((F, H, g)), 2),
     (lambda g: element(((g, F), 1)), 0),
     (lambda g: lie_bracket(g, E), 0),
     (lambda g: lie_bracket(E, g), 1),
@@ -322,7 +347,7 @@ def test_bad_generator_ids_are_rejected(call, position, bad):
 
 def test_repr_is_readable():
     assert repr(straighten_word((E, F))) == "h + f*e"
-    assert repr(EnvelopingElement()) == "0"
+    assert repr(EnvelopingElement({})) == "0"
 
 
 # ---------------------------------------------------------------------------

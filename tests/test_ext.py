@@ -782,7 +782,7 @@ def test_assemble_extension_refuses_blocks_it_cannot_place(gname, depth,
     r = ext1(Weight(0, 0), Weight(-2, 0), "O", window=4)
     assert [(g, list(b)) for g, b in r.cocycles[0].items()] == [("f", [0])]
     bad = ExtResult(r.lam, r.mu, r.category, r.window, r.dim,
-                    cocycles=[{gname: {depth: Mat.identity(size)}}])
+                    cocycles=[{gname: {depth: Mat.scalar(size, 1)}}])
     with pytest.raises(ValueError, match=re.escape(message)):
         assemble_extension(bad)
 

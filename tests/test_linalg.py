@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from takiff.algebra import E, EnvelopingElement, straighten_word
+from takiff.algebra import EnvelopingElement
 from takiff.linalg import (Mat, RowSpace, SparseSystem, integer_product_sum,
                            kernel_basis, rref, solve_columns)
 from takiff.modules import verma
@@ -55,7 +55,7 @@ def test_rank_and_kernel():
 
 
 def test_kernel_identity_is_trivial():
-    assert kernel_basis(Mat.identity(4)) == []
+    assert kernel_basis(Mat.scalar(4, 1)) == []
 
 
 def test_solve_columns_and_inconsistency():
@@ -90,12 +90,38 @@ def test_matmul_and_transpose():
     lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b])
 def test_shape_mismatch_raises_value_error(op):
     with pytest.raises(ValueError, match="2x2 . 3x3"):
-        op(Mat.identity(2), Mat.identity(3))
+        op(Mat.scalar(2, 1), Mat.scalar(3, 1))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@pytest.mark.parametrize("other", [True, Fraction(1, 2), 1])
+def test_mat_operands_must_be_mats(op, other):
+    # a scalar operand used to be read as a scalar multiple (True as 1) by
+    # *, and failed on a missing attribute in + and -
+    message = "Mat %s %s: the operand must be a Mat" % (op,
+                                                       type(other).__name__)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        {"+": Mat.__add__, "-": Mat.__sub__, "*": Mat.__mul__}[op](
+            Mat.scalar(2, 1), other)
+
+
+@pytest.mark.parametrize("cls", [RowSpace, SparseSystem])
+def test_widths_are_non_negative_integers(cls):
+    # RowSpace(True) used to take 1-entry vectors, and SparseSystem(-1)
+    # reported rank 0
+    for bad in (True, 1.0, "3"):
+        with pytest.raises(ValueError, match="ncols must be an integer, "
+                           "got %r" % (bad,)):
+            cls(bad)
+    with pytest.raises(ValueError, match="ncols must be non-negative, "
+                       "got -1"):
+        cls(-1)
+    assert cls(Fraction(3)).ncols == 3 and type(cls(Fraction(3)).ncols) is int
 
 
 def test_matvec_and_constructor_check_shapes():
     with pytest.raises(ValueError, match="2x2 \\* vector of length 3"):
-        Mat.identity(2).matvec([Fraction(1)] * 3)
+        Mat.scalar(2, 1).matvec([Fraction(1)] * 3)
     with pytest.raises(ValueError, match="Mat\\(2, 2\\)"):
         Mat(2, 2, [[1, 2], [3]])
     with pytest.raises(ValueError, match="Mat\\(3, 2\\)"):
@@ -108,7 +134,7 @@ def test_shape_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("from takiff.linalg import Mat\n"
             "try:\n"
-            "    Mat.identity(2) + Mat.identity(3)\n"
+            "    Mat.scalar(2, 1) + Mat.scalar(3, 1)\n"
             "except ValueError as exc:\n"
             "    print(exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -140,9 +166,9 @@ def test_rowspace_add_reports_growth():
 
 
 _SCALAR_ENTRIES = {
-    "straighten_word": lambda x: straighten_word((E,), x),
     "EnvelopingElement": lambda x: EnvelopingElement({(0, 0, 0, 0, 1, 0): x}),
     "Mat": lambda x: Mat(1, 1, [[x]]).rows[0][0],
+    "Mat.scalar": lambda x: Mat.scalar(2, x).rows,
     "RowSpace.add": lambda x: RowSpace(2).add([x, 1]),
     "submodule": lambda x: submodule(verma((2, 0), 2), [(1, [x, 1])]).dims,
 }
@@ -290,11 +316,11 @@ def test_integer_product_sum_matches_mat_products(seed):
         scale, mid = rng.choice([1, -1, 3, -6]), rng.randrange(0, 5)
         left, right = rand(p, mid), rand(mid, q)
         terms.append((scale, _sparse_int_rows(left), _sparse_int_rows(right)))
-        want = want + left * right * scale
+        want = want + left * right * Mat.scalar(q, scale)
     ident = rand(p, q)
     terms.append((-2, _sparse_int_rows(ident), None))
     terms.append((5, (), None))  # an empty left factor adds nothing
-    want = want - ident * 2
+    want = want - ident * Mat.scalar(q, 2)
     got = integer_product_sum(p, q, terms)
     assert got == want.rows
     assert all(type(x) is int for row in got for x in row)
@@ -623,7 +649,7 @@ def test_dense_kernel_matches_naive_reference():
         ]
         for s in (0, 1, -1, 3, Fraction(-2, 3)):
             want = [[x * s for x in r] for r in a_rows]
-            results.append((A * s, want))
+            results.append((A * Mat.scalar(n, s), want))
         for got, want in results:
             assert got.rows == want
             assert len(got.rows) == got.nrows

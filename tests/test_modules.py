@@ -349,7 +349,7 @@ def check_relations_fraction(module):
             lhs = (module.act(x, n + sy) * module.act(y, n)
                    - module.act(y, n + sx) * module.act(x, n))
             for g, c in _BRACKET[(x, y)]:
-                lhs = lhs - module.act(g, n) * c
+                lhs = lhs - module.act(g, n) * Mat.scalar(module.dims[n], c)
             t = n + sx + sy
             tgt = module.dims[t] if 0 <= t <= N else 0
             if (lhs.nrows, lhs.ncols) != (tgt, module.dims[n]) \
@@ -488,7 +488,7 @@ def test_casimir_acts_by_scalar(lh, lb):
     assert s == lb * (lh + 2)
     for n in range(3):
         a = casimir_action(m, n)
-        assert a == Mat.identity(m.dims[n]) * s
+        assert a == Mat.scalar(m.dims[n], s)
 
 
 @settings(max_examples=20, deadline=None)

@@ -76,8 +76,8 @@ def cosingular_dim(module, mu):
         return 0
     space = RowSpace(dim)
     for mat in (module.act(F, d - 1), module.act(FBAR, d - 1),
-                module.act(H, d) - Mat.identity(dim) * mu.h,
-                module.act(HBAR, d) - Mat.identity(dim) * mu.hbar):
+                module.act(H, d) - Mat.scalar(dim, mu.h),
+                module.act(HBAR, d) - Mat.scalar(dim, mu.hbar)):
         for col in mat.transpose().rows:
             space.add(col)
     return dim - space.dim()
@@ -153,9 +153,9 @@ def _invertible(rng, k):
     diagonal times upper unitriangular."""
     def entry():
         return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
-    lower = Mat.identity(k)
-    upper = Mat.identity(k)
-    diag = Mat.identity(k)
+    lower = Mat.scalar(k, 1)
+    upper = Mat.scalar(k, 1)
+    diag = Mat.scalar(k, 1)
     for i in range(k):
         diag.rows[i][i] = Fraction(rng.choice([-3, -1, 2, 5]),
                                    rng.randrange(1, 4))
@@ -171,7 +171,7 @@ def _twisted(module, rng):
     below are spans of basis vectors, where mixing embedding columns cannot
     change the projection; in a random basis they are not."""
     T = [_invertible(rng, n) for n in module.dims]
-    T_inv = [solve_columns(t, Mat.identity(t.nrows)) for t in T]
+    T_inv = [solve_columns(t, Mat.scalar(t.nrows, 1)) for t in T]
     actions = {g: {} for g in GENERATORS}
     for g in GENERATORS:
         for d in range(module.depth + 1):
@@ -462,7 +462,7 @@ def test_submodule_rejects_a_generator_of_the_wrong_length():
 def test_quotient_rejects_an_embedding_of_the_wrong_height():
     m = verma(Weight(2, 0), 4)
     s = submodule(m, [(3, [1, 0, 0, 0])])
-    s.embedding[3] = Mat.identity(3)
+    s.embedding[3] = Mat.scalar(3, 1)
     with pytest.raises(ValueError, match="depth 3 has 3 rows, expected 4"):
         quotient(m, s)
 
