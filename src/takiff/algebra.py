@@ -249,7 +249,8 @@ class EnvelopingElement(dict):
     bool raises ValueError.
 
     Supports +, - and the associative product * of two elements (products
-    are re-straightened).  Instances compare equal as plain dicts, so the zero
+    are re-straightened); an operand that is not an EnvelopingElement
+    raises TypeError.  Instances compare equal as plain dicts, so the zero
     element is the empty dict.
     """
 
@@ -274,7 +275,13 @@ class EnvelopingElement(dict):
 
     # -- ring structure ----------------------------------------------------
 
+    def _check_operand(self, other, op):
+        if not isinstance(other, EnvelopingElement):
+            raise TypeError("EnvelopingElement %s %s: the operand must be an "
+                            "EnvelopingElement" % (op, type(other).__name__))
+
     def __add__(self, other):
+        self._check_operand(other, "+")
         out = dict(self)
         for exps, coef in other.items():
             s = out.get(exps, Fraction(0)) + coef
@@ -288,12 +295,11 @@ class EnvelopingElement(dict):
         return EnvelopingElement({e: -c for e, c in self.items()})
 
     def __sub__(self, other):
-        return self + (-EnvelopingElement(other))
+        self._check_operand(other, "-")
+        return self + -other
 
     def __mul__(self, other):
-        if not isinstance(other, EnvelopingElement):
-            raise TypeError("EnvelopingElement * %s: the operand must be an "
-                            "EnvelopingElement" % type(other).__name__)
+        self._check_operand(other, "*")
         acc = {}
         for e1, c1 in self.items():
             w1 = exponents_to_word(e1)

@@ -15,10 +15,10 @@ from functools import lru_cache
 
 from .algebra import (GEN_BY_NAME, GEN_NAMES, GENERATORS, EnvelopingElement,
                       casimir, lie_bracket, straighten_word)
-from .modules import (Weight, character, check_relations, module_to_json,
-                      simple_module, verma)
-from .structure import (hasse_diagram, mn_filtration, multiplicities,
-                        singular_vectors)
+from .modules import (Weight, Character, check_relations, module_to_json,
+                      simple_dims, simple_module, verma, verma_dims)
+from .structure import (_slice_of, hasse_diagram, mn_filtration,
+                        multiplicities, singular_vectors)
 from .ext import StabilizationError, block_of, ext1, quiver, stabilize_ext
 from .conformance import run_all
 
@@ -127,17 +127,26 @@ def cmd_casimir_check(args):
     return 0
 
 
-def _build(args):
-    """The module that args name: its kind args.module, its top weight and
-    args.depth."""
+def _build(args, depth):
+    """The module that args name, its kind args.module and its top weight,
+    truncated at depth."""
     # looked up at each call, so that a wrapper set over this module's
     # verma or simple_module (as bench/tracer.py sets) sees the call
     build = {"verma": verma, "simple": simple_module}[args.module]
-    return build(_weight(args), args.depth)
+    return build(_weight(args), depth)
+
+
+def _character(args, kind):
+    """The character of the module of kind "verma" or "simple" with the
+    top weight and the depth args name, read off its dimension rule: no
+    module is built."""
+    top = _weight(args)
+    dims = {"verma": verma_dims, "simple": simple_dims}[kind](top, args.depth)
+    return Character(top, args.depth, dict(enumerate(dims)))
 
 
 def cmd_module(args):
-    mod = _build(args)
+    mod = _build(args, args.depth)
     if args.format == "json":
         _dump(module_to_json(mod))
         return 0
@@ -150,7 +159,7 @@ def cmd_module(args):
 
 
 def cmd_character(args):
-    ch = character(_build(args))
+    ch = _character(args, args.module)
     if args.format == "json":
         _dump(ch.to_json())
     else:
@@ -159,8 +168,7 @@ def cmd_character(args):
 
 
 def cmd_multiplicities(args):
-    ch = character(verma(_weight(args), args.depth))
-    table = multiplicities(ch)
+    table = multiplicities(_character(args, "verma"))
     if args.format == "json":
         _dump(table.to_json())
         return 0
@@ -173,9 +181,10 @@ def cmd_multiplicities(args):
 
 def cmd_singular(args):
     lam = _weight(args)
-    mu = _weight(args, "mu_")
-    mod = _build(args)
-    vecs = singular_vectors(mod, mu)
+    # singular_vectors reads only mu's slice d, whose blocks are the same
+    # in every window that holds d: build the module down to d only
+    mu, d = _slice_of(lam, args.depth, _weight(args, "mu_"))
+    vecs = singular_vectors(_build(args, d), mu)
     if args.format == "json":
         _dump({"top": lam.to_json(), "mu": mu.to_json(),
                "dimension": len(vecs),

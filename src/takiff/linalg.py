@@ -7,8 +7,9 @@ coercion.  No result shares a row list with an operand, so callers may
 write into ``mat.rows[r][c]``.  The Mat constructor, Mat.scalar and
 RowSpace take ints, Fractions and 'p/q' strings, read by
 algebra.exact_rat, so a float or a bool raises ValueError;
-SparseSystem.add_row takes ints only.  A width (the ncols of a RowSpace
-or a SparseSystem) is a non-negative int.  The reduced rows, kernel
+SparseSystem.add_row takes ints only.  A size (the shape of a Mat, the n
+of Mat.scalar, the ncols of a RowSpace or a SparseSystem) is a
+non-negative int, read by algebra.exact_int.  The reduced rows, kernel
 vectors and reduced vectors they hand back are Fractions whatever they
 were given.  +, - and * of Mats take two Mats: any other operand raises
 TypeError, so a scalar multiple is a product with Mat.scalar.
@@ -73,6 +74,11 @@ class Mat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows=None):
+        # a shape of two plain ints >= 0 skips the read: every block a
+        # builder makes comes through here
+        if not (type(nrows) is int and type(ncols) is int
+                and nrows >= 0 and ncols >= 0):
+            nrows, ncols = _size(nrows, "nrows"), _size(ncols, "ncols")
         self.nrows = nrows
         self.ncols = ncols
         if rows is None:
@@ -99,9 +105,9 @@ class Mat:
 
     @classmethod
     def scalar(cls, n, s):
-        """The n x n matrix s times the identity, s read by exact_rat (so a
-        float or a bool raises ValueError)."""
-        s = exact_rat(s, "scalar")
+        """The n x n matrix s times the identity, n a size and s read by
+        exact_rat (so a float or a bool raises ValueError)."""
+        n, s = _size(n, "n"), exact_rat(s, "scalar")
         return cls._adopt(n, n, [[s if i == j else _ZERO for j in range(n)]
                                  for i in range(n)])
 
@@ -269,13 +275,13 @@ def solve_columns(A, B):
     return X
 
 
-def _width(ncols):
-    """ncols as an int, read by algebra.exact_int; a negative width raises
+def _size(value, name):
+    """value as an int, read by algebra.exact_int; a negative size raises
     ValueError naming it."""
-    ncols = exact_int(ncols, "ncols")
-    if ncols < 0:
-        raise ValueError("ncols must be non-negative, got %d" % ncols)
-    return ncols
+    value = exact_int(value, name)
+    if value < 0:
+        raise ValueError("%s must be non-negative, got %d" % (name, value))
+    return value
 
 
 def _integer_vector(values):
@@ -305,7 +311,7 @@ class RowSpace:
     """
 
     def __init__(self, ncols):
-        self.ncols = _width(ncols)
+        self.ncols = _size(ncols, "ncols")
         self.pivots = []   # pivot columns, increasing
         self._ints = []    # primitive integer rows, one per pivot
 
@@ -421,7 +427,7 @@ class SparseSystem:
     """
 
     def __init__(self, ncols):
-        self.ncols = _width(ncols)
+        self.ncols = _size(ncols, "ncols")
         self.rows = []
         self._eliminated = False
 

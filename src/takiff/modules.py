@@ -12,10 +12,13 @@ f^i fbar^j v over i, j >= 0; its depth-n slice is spanned by
 
     c_j = f^(n-j) fbar^j v,   j = 0..n   (f-power descending),
 
-so depth 1 is (f v, fbar v).  All action matrices are obtained by
-straightening g * f^(n-j) fbar^j into normal form and evaluating the h/hbar
-powers at lambda -- no closed-form shortcuts are baked in (the closed forms
-appear only in the tests, as an independent oracle).
+so depth 1 is (f v, fbar v).  The slice dimensions n + 1 have one
+closed-form home, verma_dims, which verma reads and from which a Verma
+character is made without building the module.  The action matrices are
+still obtained by straightening g * f^(n-j) fbar^j into normal form and
+evaluating the h/hbar powers at lambda -- no closed-form shortcuts for the
+blocks are baked in (those closed forms appear only in the tests, as an
+independent oracle).
 
 In this basis, hbar acts at depth 1 by [[lambda(hbar), 0], [-2, lambda(hbar)]]:
 diagonal scalar plus a nilpotent pushing f v to fbar v.  That lower-triangular
@@ -35,7 +38,7 @@ from .linalg import Mat, integer_product_sum
 
 __all__ = [
     "Weight", "Character", "TruncatedModule", "verma", "simple_module",
-    "simple_dims", "character", "dualize", "check_relations",
+    "verma_dims", "simple_dims", "character", "dualize", "check_relations",
     "RelationReport", "casimir_action", "casimir_scalar", "category_check",
     "module_to_json",
 ]
@@ -202,9 +205,7 @@ def verma(top, depth):
     (in which case it kills the highest-weight vector).
     """
     top = Weight.of(top)
-    depth = exact_int(depth, "depth")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    dims = verma_dims(top, depth)  # raises for a negative depth
     powers = {}  # (c, d) -> top.h^c * top.hbar^d
 
     def block(g, n, t):
@@ -228,22 +229,30 @@ def verma(top, depth):
                 row[j] = row[j] + term if row[j] else term
         return mat
 
-    return TruncatedModule.build(top, depth, [n + 1 for n in range(depth + 1)],
-                                 block)
+    return TruncatedModule.build(top, depth, dims, block)
+
+
+def verma_dims(top, depth):
+    """Dimensions per depth of the Verma module M(top): n + 1 at depth n,
+    one for each f^(n-j) fbar^j v, whatever the top.  A negative depth
+    raises ValueError."""
+    Weight.of(top)
+    depth = exact_int(depth, "depth")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return [n + 1 for n in range(depth + 1)]
 
 
 def simple_dims(top, depth):
     """Dimensions per depth of the simple highest-weight module L(top)."""
     top = Weight.of(top)
-    depth = exact_int(depth, "depth")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    dims = verma_dims(top, depth)  # raises for a negative depth
     if top.hbar != 0:
-        return [n + 1 for n in range(depth + 1)]
+        return dims
     if top.is_integral_dominant():
         n = int(top.h)
-        return [1 if d <= n else 0 for d in range(depth + 1)]
-    return [1] * (depth + 1)
+        return [1 if d <= n else 0 for d in range(len(dims))]
+    return [1] * len(dims)
 
 
 def simple_module(top, depth):

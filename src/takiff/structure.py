@@ -46,21 +46,24 @@ _GUARD = 2
 # ---------------------------------------------------------------------------
 # singular vectors
 
-def _slice_of(module, mu):
-    """(mu as a Weight, its depth in the module's window).  Raises
-    ValueError unless mu lies on the module's coset (same hbar-value, h-value
-    differing from the top by a nonnegative even integer) within the
+def _slice_of(top, depth, mu):
+    """(mu as a Weight, its depth d in the window 0..depth of the coset of
+    top), by weight arithmetic alone.  Raises ValueError for a negative
+    depth, and unless mu lies on the coset (same hbar-value, h-value
+    differing from top's by a nonnegative even integer) within the
     window."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     mu = Weight.of(mu)
-    if mu.hbar != module.top.hbar:
+    if mu.hbar != top.hbar:
         raise ValueError("weight %s has the wrong hbar-value for this coset"
                          % (mu,))
-    k2 = module.top.h - mu.h
+    k2 = top.h - mu.h
     if k2.denominator != 1 or int(k2) % 2 != 0 or k2 < 0:
         raise ValueError("weight %s is not top - k*alpha for integer k >= 0"
                          % (mu,))
     d = int(k2) // 2
-    if d > module.depth:
+    if d > depth:
         raise ValueError("weight %s lies below the truncation window" % (mu,))
     return mu, d
 
@@ -72,9 +75,14 @@ def singular_vectors(module, mu):
     mu must lie on the module's coset (same hbar-value, h-value differing
     from the top by a nonnegative even integer within the window); otherwise
     a ValueError is raised.  Returns a list of coordinate vectors in the
-    depth slice of mu (possibly empty).
+    depth slice d of mu (possibly empty).
+
+    Only slice d and the targets of e and ebar there are read: the blocks
+    of e and ebar from d to d - 1, and of h and hbar on d.  Those blocks,
+    and so the basis returned, are the same in every window that holds d,
+    so a module truncated at depth d gives the answer of a deeper one.
     """
-    mu, d = _slice_of(module, mu)
+    mu, d = _slice_of(module.top, module.depth, mu)
     dim = module.dims[d]
     if dim == 0:
         return []

@@ -250,6 +250,19 @@ def test_element_takes_one_form():
             x * bad
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@pytest.mark.parametrize("bad", [2, Fraction(1, 2), {ONE: 2}, None])
+def test_element_operands_must_be_elements(op, bad):
+    # x + 2 used to fail on a missing attribute, x - 2 inside the
+    # constructor, and a plain dict of terms was taken by + and -
+    x = straighten_word((E,))
+    message = "EnvelopingElement %s %s: the operand must be an " \
+              "EnvelopingElement" % (op, type(bad).__name__)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        {"+": EnvelopingElement.__add__, "-": EnvelopingElement.__sub__,
+         "*": EnvelopingElement.__mul__}[op](x, bad)
+
+
 def test_sorted_word_is_not_pushed_through_the_kernel():
     # the longest sorted suffix is its own normal form: a sorted word asks
     # the memoized kernel nothing

@@ -148,6 +148,56 @@ def test_singular(capsys):
     assert "dimension 1" in out
 
 
+def _spy_on_builders(monkeypatch):
+    """The (builder name, depth) of each module the CLI builds from here
+    on, through its verma and simple_module."""
+    builds = []
+    for name in ("verma", "simple_module"):
+        def spy(top, depth, real=getattr(cli, name), name=name):
+            builds.append((name, depth))
+            return real(top, depth)
+        monkeypatch.setattr(cli, name, spy)
+    return builds
+
+
+def test_characters_and_multiplicities_build_no_module(capsys, monkeypatch):
+    builds = _spy_on_builders(monkeypatch)
+    for argv in (["character", "--h", "2", "--depth", "6"],
+                 ["character", "--h", "2", "--module", "simple"],
+                 ["character", "--h", "1/2", "--hbar", "1/3"],
+                 ["multiplicities", "--h", "2", "--depth", "10"],
+                 ["multiplicities", "--h", "2", "--depth", "-1"]):
+        run(capsys, *argv)
+    assert builds == []
+
+
+def test_singular_builds_at_the_slice_of_mu(capsys, monkeypatch):
+    builds = _spy_on_builders(monkeypatch)
+    # mu = top - 3*alpha: a depth-3 module, whatever --depth says
+    for module in ("verma", "simple"):
+        code, out, _ = run(capsys, "singular", "--h", "1/2", "--hbar", "1/3",
+                           "--mu-h", "-11/2", "--mu-hbar", "1/3",
+                           "--module", module, "--depth", "9")
+        assert code == 0 and "dimension 0" in out
+    assert builds == [("verma", 3), ("simple_module", 3)]
+    # a weight that is off the coset or below the window builds nothing
+    for mu_h, depth in (("3", "6"), ("-8", "4")):
+        code, _, err = run(capsys, "singular", "--h", "4", "--mu-h", mu_h,
+                           "--depth", depth)
+        assert code == 1 and err.startswith("error: weight ")
+    assert builds == [("verma", 3), ("simple_module", 3)]
+
+
+def test_paper_check_multiplicities_build_no_module(monkeypatch):
+    from takiff import conformance
+
+    def refuse(top, depth):
+        raise AssertionError("built Verma(%s) at depth %d" % (top, depth))
+
+    monkeypatch.setattr(conformance, "verma", refuse)
+    assert conformance.check_multiplicities()[0]
+
+
 def test_filtration(capsys):
     code, out, _ = run(capsys, "filtration", "--n", "3")
     assert code == 0
@@ -205,12 +255,15 @@ def test_outputs_match_the_golden_file(capsys):
     the benchmark's multiplicities and singular operations, filtration and
     hasse JSON, and the stabilized ext JSON of every EXT_TABLE row.  Its
     last 64 records, added later, pin ext --cocycles --format json on
-    every EXT_TABLE row, stabilized and at --window 4.  It is not
+    every EXT_TABLE row, stabilized and at --window 4.  The 21 after
+    those pin the routes that build no module or a shallower one: the
+    errors and the empty answers of singular, and multiplicities and
+    character at depths -1 and 0 and at a nondegenerate top.  It is not
     regenerated to make a change pass; an intended change of output edits
     the entries it changes, and says why."""
     golden = Path(__file__).parent / "golden" / "cli_outputs.json"
     records = json.loads(golden.read_text())
-    assert len(records) == 213
+    assert len(records) == 234
     differing = []
     for rec in records:
         code = main(list(rec["argv"]))

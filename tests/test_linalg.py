@@ -119,6 +119,25 @@ def test_widths_are_non_negative_integers(cls):
     assert cls(Fraction(3)).ncols == 3 and type(cls(Fraction(3)).ncols) is int
 
 
+def test_mat_shapes_are_non_negative_integers():
+    # Mat(-1, 2) used to keep nrows -1, Mat(True, 2) nrows True, and
+    # Mat.scalar(-2, 1) to build a "-2 x -2" matrix
+    for name, make in (("nrows", lambda k: Mat(k, 2)),
+                       ("ncols", lambda k: Mat(2, k)),
+                       ("n", lambda k: Mat.scalar(k, 1))):
+        for bad in (True, 1.0, "3", Fraction(1, 2)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "%s must be an integer, got %r" % (name, bad))):
+                make(bad)
+        with pytest.raises(ValueError, match="%s must be non-negative, "
+                           "got -2" % name):
+            make(-2)
+    m = Mat(Fraction(2), Fraction(3))
+    assert (m.nrows, m.ncols) == (2, 3) and type(m.nrows) is int
+    assert m == Mat(2, 3) and Mat.scalar(Fraction(2), 1) == Mat.scalar(2, 1)
+    assert Mat(0, 0).rows == [] and Mat.scalar(0, 5) == Mat(0, 0)
+
+
 def test_matvec_and_constructor_check_shapes():
     with pytest.raises(ValueError, match="2x2 \\* vector of length 3"):
         Mat.scalar(2, 1).matvec([Fraction(1)] * 3)

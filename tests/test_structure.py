@@ -19,7 +19,8 @@ from takiff.algebra import DEPTH_SHIFT, E, EBAR, F, FBAR, GENERATORS, H, HBAR
 from takiff.ext import assemble_extension, ext1
 from takiff.linalg import Mat, RowSpace, solve_columns
 from takiff.modules import (TruncatedModule, Weight, character,
-                            check_relations, dualize, simple_dims, verma)
+                            check_relations, dualize, simple_dims,
+                            simple_module, verma)
 from takiff.structure import (hasse_diagram, mn_filtration,
                               multiplicities, quotient, singular_vectors,
                               submodule)
@@ -55,6 +56,35 @@ def test_singular_lines_are_fbar_powers():
         assert vs[0] == _frac([0] * d + [1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.builds(Weight, st.one_of(st.integers(-3, 6),
+                                   st.fractions(min_value=-6, max_value=6,
+                                                max_denominator=3)),
+                 st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3,
+                                                    max_denominator=3))),
+       st.integers(0, 5), st.integers(0, 3),
+       st.sampled_from([verma, simple_module]))
+def test_singular_vectors_at_their_own_slice(top, d, extra, build):
+    # the CLI builds the module down to mu's slice d only; the blocks
+    # singular_vectors reads there are those of any deeper window
+    mu = top.down(d)
+    assert singular_vectors(build(top, d), mu) == \
+        singular_vectors(build(top, d + extra), mu)
+
+
+def test_slice_of_is_weight_arithmetic():
+    top = Weight(4, 0)
+    assert structure_mod._slice_of(top, 3, (0, 0)) == (Weight(0, 0), 2)
+    assert structure_mod._slice_of(top, 0, top) == (top, 0)
+    for mu, depth, message in [((-8, 0), 4, "below the truncation window"),
+                               ((3, 0), 6, "integer k >= 0"),
+                               ((6, 0), 6, "integer k >= 0"),
+                               ((2, 1), 6, "wrong hbar-value"),
+                               ((2, 1), -1, "depth must be >= 0")]:
+        with pytest.raises(ValueError, match=message):
+            structure_mod._slice_of(top, depth, mu)
+
+
 def test_singular_rejects_off_coset_weight():
     m = verma(Weight(0, 0), 4)
     with pytest.raises(ValueError):
@@ -70,7 +100,7 @@ def cosingular_dim(module, mu):
     (images of both lowering operators) plus the non-eigen directions: the
     number of singular vectors of weight mu in dualize(module), counted
     without dualizing.  mu is validated as in singular_vectors."""
-    mu, d = structure_mod._slice_of(module, mu)
+    mu, d = structure_mod._slice_of(module.top, module.depth, mu)
     dim = module.dims[d]
     if dim == 0:
         return 0
