@@ -13,9 +13,10 @@ from .algebra import (E, EBAR, F, FBAR, H, HBAR, GENERATORS, GEN_NAMES,
                       EnvelopingElement, lie_bracket, straighten_word,
                       casimir)
 from .modules import (Weight, Character, TruncatedModule, verma,
-                      simple_module, verma_dims, simple_dims, character,
-                      dualize, check_relations, casimir_action,
-                      casimir_scalar, category_check, module_to_json)
+                      simple_module, verma_dims, simple_dims,
+                      closed_character, character, dualize, check_relations,
+                      casimir_action, casimir_scalar, category_check,
+                      module_to_json)
 from .structure import (singular_vectors, submodule, quotient,
                         multiplicities, mn_filtration, hasse_diagram,
                         SubmodulePoset)

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .algebra import (GEN_BY_NAME, GEN_NAMES, GENERATORS, EnvelopingElement,
                       casimir, lie_bracket, straighten_word)
-from .modules import (Weight, Character, check_relations, module_to_json,
-                      simple_dims, simple_module, verma, verma_dims)
+from .modules import (Weight, check_relations, closed_character,
+                      module_to_json, simple_module, verma)
 from .structure import (_slice_of, hasse_diagram, mn_filtration,
                         multiplicities, singular_vectors)
 from .ext import StabilizationError, block_of, ext1, quiver, stabilize_ext
@@ -136,15 +136,6 @@ def _build(args, depth):
     return build(_weight(args), depth)
 
 
-def _character(args, kind):
-    """The character of the module of kind "verma" or "simple" with the
-    top weight and the depth args name, read off its dimension rule: no
-    module is built."""
-    top = _weight(args)
-    dims = {"verma": verma_dims, "simple": simple_dims}[kind](top, args.depth)
-    return Character(top, args.depth, dict(enumerate(dims)))
-
-
 def cmd_module(args):
     mod = _build(args, args.depth)
     if args.format == "json":
@@ -159,7 +150,7 @@ def cmd_module(args):
 
 
 def cmd_character(args):
-    ch = _character(args, args.module)
+    ch = closed_character(_weight(args), args.depth, args.module)
     if args.format == "json":
         _dump(ch.to_json())
     else:
@@ -168,7 +159,8 @@ def cmd_character(args):
 
 
 def cmd_multiplicities(args):
-    table = multiplicities(_character(args, "verma"))
+    table = multiplicities(closed_character(_weight(args), args.depth,
+                                            "verma"))
     if args.format == "json":
         _dump(table.to_json())
         return 0

@@ -15,7 +15,7 @@ from time import perf_counter
 
 from .algebra import (GENERATORS, GEN_NAMES, HBAR, casimir, lie_bracket,
                       straighten_word)
-from .modules import (Weight, Character, verma, verma_dims, character,
+from .modules import (Weight, verma, closed_character, character,
                       dualize, casimir_scalar, casimir_action)
 from .structure import (singular_vectors, multiplicities, mn_filtration,
                         hasse_diagram)
@@ -237,8 +237,7 @@ def check_multiplicities():
     """Composition multiplicities of Verma characters, by peeling, read
     off the closed-form Verma dimensions."""
     for top, want in MULTIPLICITY_TABLES.items():
-        mt = multiplicities(Character(top, 10,
-                                      dict(enumerate(verma_dims(top, 10)))))
+        mt = multiplicities(closed_character(top, 10, "verma"))
         if dict(mt.entries) != want:
             return False, "multiplicities at %s: %s != %s" % (
                 top, dict(mt.entries), want)

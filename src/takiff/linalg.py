@@ -74,11 +74,7 @@ class Mat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows=None):
-        # a shape of two plain ints >= 0 skips the read: every block a
-        # builder makes comes through here
-        if not (type(nrows) is int and type(ncols) is int
-                and nrows >= 0 and ncols >= 0):
-            nrows, ncols = _size(nrows, "nrows"), _size(ncols, "ncols")
+        nrows, ncols = _size(nrows, "nrows"), _size(ncols, "ncols")
         self.nrows = nrows
         self.ncols = ncols
         if rows is None:

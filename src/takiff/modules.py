@@ -13,8 +13,9 @@ f^i fbar^j v over i, j >= 0; its depth-n slice is spanned by
     c_j = f^(n-j) fbar^j v,   j = 0..n   (f-power descending),
 
 so depth 1 is (f v, fbar v).  The slice dimensions n + 1 have one
-closed-form home, verma_dims, which verma reads and from which a Verma
-character is made without building the module.  The action matrices are
+closed-form home, verma_dims, which verma reads; closed_character makes a
+Verma character from it (and a simple one from simple_dims) without
+building the module.  The action matrices are
 still obtained by straightening g * f^(n-j) fbar^j into normal form and
 evaluating the h/hbar powers at lambda -- no closed-form shortcuts for the
 blocks are baked in (those closed forms appear only in the tests, as an
@@ -38,8 +39,8 @@ from .linalg import Mat, integer_product_sum
 
 __all__ = [
     "Weight", "Character", "TruncatedModule", "verma", "simple_module",
-    "verma_dims", "simple_dims", "character", "dualize", "check_relations",
-    "RelationReport", "casimir_action", "casimir_scalar", "category_check",
+    "verma_dims", "simple_dims", "closed_character", "character", "dualize",
+    "check_relations", "RelationReport", "casimir_action", "casimir_scalar", "category_check",
     "module_to_json",
 ]
 
@@ -205,7 +206,7 @@ def verma(top, depth):
     (in which case it kills the highest-weight vector).
     """
     top = Weight.of(top)
-    dims = verma_dims(top, depth)  # raises for a negative depth
+    dims = verma_dims(depth)  # raises for a negative depth
     powers = {}  # (c, d) -> top.h^c * top.hbar^d
 
     def block(g, n, t):
@@ -232,11 +233,10 @@ def verma(top, depth):
     return TruncatedModule.build(top, depth, dims, block)
 
 
-def verma_dims(top, depth):
-    """Dimensions per depth of the Verma module M(top): n + 1 at depth n,
-    one for each f^(n-j) fbar^j v, whatever the top.  A negative depth
-    raises ValueError."""
-    Weight.of(top)
+def verma_dims(depth):
+    """Dimensions per depth of a Verma module: n + 1 at depth n, one for
+    each f^(n-j) fbar^j v, the same for every top.  A negative depth raises
+    ValueError."""
     depth = exact_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -246,13 +246,27 @@ def verma_dims(top, depth):
 def simple_dims(top, depth):
     """Dimensions per depth of the simple highest-weight module L(top)."""
     top = Weight.of(top)
-    dims = verma_dims(top, depth)  # raises for a negative depth
+    dims = verma_dims(depth)  # raises for a negative depth
     if top.hbar != 0:
         return dims
     if top.is_integral_dominant():
         n = int(top.h)
         return [1 if d <= n else 0 for d in range(len(dims))]
     return [1] * len(dims)
+
+
+def closed_character(top, depth, kind):
+    """The character of M(top) (kind "verma") or L(top) (kind "simple")
+    truncated to depth, read off its dimension rule: no module is built."""
+    top = Weight.of(top)
+    if kind == "verma":
+        dims = verma_dims(depth)
+    elif kind == "simple":
+        dims = simple_dims(top, depth)
+    else:
+        raise ValueError("kind must be 'verma' or 'simple', got %r"
+                         % (kind,))
+    return Character(top, depth, dict(enumerate(dims)))
 
 
 def simple_module(top, depth):

@@ -25,7 +25,7 @@ from takiff.modules import (Character, TruncatedModule, Weight,
                             casimir_action, casimir_scalar, category_check,
                             character, check_relations, dualize,
                             module_to_json, RelationReport, simple_dims, simple_module,
-                            verma, verma_dims)
+                            verma, verma_dims, closed_character)
 
 _rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
@@ -187,8 +187,7 @@ def test_simple_dims_depth_is_an_exact_integer():
         simple_dims(Weight(1, 0), 2.5)
 
 
-@pytest.mark.parametrize("build", [simple_dims, simple_module, verma_dims,
-                                   verma])
+@pytest.mark.parametrize("build", [simple_dims, simple_module, verma])
 @pytest.mark.parametrize("top", [Weight(1, 0), Weight(Fraction(1, 2), 0),
                                  Weight(0, 1)])
 def test_negative_depth_is_rejected(build, top):
@@ -197,13 +196,23 @@ def test_negative_depth_is_rejected(build, top):
 
 
 def test_verma_dims_helper():
-    assert verma_dims(Weight(3, 0), 0) == [1]
-    assert verma_dims((Fraction(7, 3), Fraction(-5, 2)), 4) == [1, 2, 3, 4, 5]
-    assert verma_dims(Weight(1, 0), Fraction(2)) == [1, 2, 3]
+    assert verma_dims(0) == [1]
+    assert verma_dims(4) == [1, 2, 3, 4, 5]
+    assert verma_dims(Fraction(2)) == [1, 2, 3]
     with pytest.raises(ValueError, match="depth must be an integer, got 2.5"):
-        verma_dims(Weight(1, 0), 2.5)
+        verma_dims(2.5)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        verma_dims(-1)
+
+
+def test_closed_character_checks_its_arguments():
+    for kind in ("verma", "simple"):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            closed_character(Weight(1, 0), -1, kind)
     with pytest.raises(ValueError, match="a weight is a Weight"):
-        verma_dims(3, 2)
+        closed_character(3, 2, "verma")
+    with pytest.raises(ValueError, match="kind must be 'verma' or 'simple'"):
+        closed_character(Weight(1, 0), 2, "dual")
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,11 +220,11 @@ def test_verma_dims_helper():
                  st.one_of(st.just(0), _rationals)),
        st.integers(0, 8))
 def test_closed_form_characters_match_the_built_modules(top, depth):
-    # the characters the CLI and paper-check read off verma_dims and
-    # simple_dims, against the characters of the modules built
-    for dims, build in ((verma_dims, verma), (simple_dims, simple_module)):
-        closed = Character(top, depth, dict(enumerate(dims(top, depth))))
-        assert closed == character(build(top, depth))
+    # the characters the CLI and paper-check read off the dimension rules,
+    # against the characters of the modules built
+    for kind, build in (("verma", verma), ("simple", simple_module)):
+        assert (closed_character(top, depth, kind)
+                == character(build(top, depth)))
 
 
 # ---------------------------------------------------------------------------
